@@ -112,7 +112,7 @@ main(int argc, char **argv)
             service::CompileRequest req;
             req.name = bm.name;
             req.input = bm.circuit;
-            req.pipeline = service::Pipeline::Eff;
+            req.pipelineSpec = "eff";
             req.calibrate = false;
             batch.push_back(std::move(req));
         }

@@ -56,7 +56,6 @@ workload(int copies)
             service::CompileRequest req;
             req.name = bm.name;
             req.input = bm.circuit;
-            req.pipeline = service::Pipeline::Full;
             batch.push_back(std::move(req));
         }
     }
@@ -102,8 +101,7 @@ main(int argc, char **argv)
         // seconds.
         service::ServiceOptions off;
         off.threads = 1;
-        off.enableSynthCache = false;
-        off.enablePulseCache = false;
+        off.enableCaches = false;
         service::CompileService cold(off);
         const double cold_secs = runBatch(cold, workload(copies));
 
@@ -147,8 +145,7 @@ main(int argc, char **argv)
         for (int bw : {1, 4}) {
             service::ServiceOptions po;
             po.threads = 1;
-            po.enableSynthCache = false;
-            po.enablePulseCache = false;
+            po.enableCaches = false;
             po.blockWorkers = bw;
             service::CompileService svc(po);
             std::vector<service::JobResult> rs;
@@ -356,8 +353,7 @@ main(int argc, char **argv)
         const bool cached = pass == 1;
         service::ServiceOptions sopts;
         sopts.threads = 1;
-        sopts.enableSynthCache = cached;
-        sopts.enablePulseCache = cached;
+        sopts.enableCaches = cached;
         service::CompileService svc(sopts);
         if (cached)
             runBatch(svc, workload(1));  // warm the caches

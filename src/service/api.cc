@@ -168,8 +168,7 @@ compileRequestToJson(const CompileRequest &req)
     o.set("qasm", JsonValue::makeString(
                       req.qasm.empty() ? circuit::toQasm(req.input)
                                        : req.qasm));
-    o.set("pipeline",
-          JsonValue::makeString(req.resolvedPipelineSpec()));
+    o.set("pipeline", JsonValue::makeString(req.pipelineSpec));
     o.set("seed", JsonValue::makeNumber(
                       static_cast<double>(req.options.seed)));
     if (req.options.variationalMode)

@@ -4,7 +4,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <mutex>
 #include <tuple>
+#include <unordered_map>
 
 #include "obs/obs.hh"
 #include "service/persist.hh"
@@ -62,13 +65,9 @@ CacheMetrics &cacheMetrics()
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-// Persistent-file identity: magic tags, format versions (bump on any
-// layout or key-scheme change; old files are then rejected wholesale)
-// and the fingerprint quantization scale the synth keys depend on.
-constexpr std::uint32_t kSynthMagic = 0x43535152u;   // "RQSC"
-constexpr std::uint32_t kPulseMagic = 0x43505152u;   // "RQPC"
-constexpr std::uint32_t kSynthFormatVersion = 1;
-constexpr std::uint32_t kPulseFormatVersion = 1;
+// The fingerprint quantization scale the synth keys depend on (part
+// of the synth file header; the magic tags and format versions live
+// with the payloads below).
 constexpr double kFingerprintScale = 1e12;
 
 // Parse-time sanity caps (see persist.hh: corrupt counts must fail
@@ -161,17 +160,409 @@ sameBits(double a, double b)
     return ua == ub;
 }
 
+void
+writeCoord(persist::Writer &w, const weyl::WeylCoord &c)
+{
+    w.f64(c.x);
+    w.f64(c.y);
+    w.f64(c.z);
+}
+
+bool
+readCoord(persist::Reader &r, weyl::WeylCoord &c)
+{
+    return r.f64(c.x) && r.f64(c.y) && r.f64(c.z);
+}
+
+/** Hash of the `tol`-wide grid cell a class coordinate falls in. */
+std::uint64_t
+cellOf(const weyl::WeylCoord &c, double tol)
+{
+    const std::vector<std::int64_t> cell = {
+        static_cast<std::int64_t>(std::floor(c.x / tol)),
+        static_cast<std::int64_t>(std::floor(c.y / tol)),
+        static_cast<std::int64_t>(std::floor(c.z / tol)),
+    };
+    return fnv1a(cell);
+}
+
 } // namespace
+
+namespace detail
+{
+
+// Each payload carries its file identity (magic tag; format version:
+// bump on any layout or key-scheme change, old files are then
+// rejected wholesale), its entry codec, its save order (identical
+// contents always save to identical files) and its --stats row.
+
+/** Fingerprint + search-options key and the search outcome. */
+struct SynthPayload
+{
+    static constexpr const char *kName = "synth";
+    static constexpr std::uint32_t kMagic = 0x43535152u;  // "RQSC"
+    static constexpr std::uint32_t kVersion = 1;
+    static obs::Counter *evictions() { return cacheMetrics().synthEvictions; }
+
+    std::vector<std::int64_t> key;
+    synth::SynthesisResult result;  //!< local qubit ids 0..2
+
+    /** Failed searches are kept too: they replay deterministically. */
+    bool servable() const { return true; }
+    bool operator<(const SynthPayload &o) const { return key < o.key; }
+    void describe(ClassStats &row) const
+    {
+        row.blockCount = result.blockCount;
+    }
+
+    void write(persist::Writer &w) const
+    {
+        w.u64(key.size());
+        for (std::int64_t word : key)
+            w.i64(word);
+        w.u32(result.success ? 1u : 0u);
+        w.f64(result.infidelity);
+        w.u32(static_cast<std::uint32_t>(result.blockCount));
+        w.u64(result.gates.size());
+        for (const circuit::Gate &g : result.gates)
+            w.gate(g);
+    }
+
+    bool read(persist::Reader &r)
+    {
+        std::uint64_t nwords, ngates;
+        std::uint32_t success, block_count;
+        if (!r.u64(nwords) || nwords > kMaxKeyWords)
+            return false;
+        key.resize(nwords);
+        for (std::int64_t &word : key)
+            if (!r.i64(word))
+                return false;
+        if (!r.u32(success) || success > 1)
+            return false;
+        result.success = success == 1;
+        if (!r.f64(result.infidelity) || !r.u32(block_count))
+            return false;
+        result.blockCount = static_cast<int>(block_count);
+        if (!r.u64(ngates) || ngates > kMaxGates)
+            return false;
+        result.gates.resize(ngates);
+        for (circuit::Gate &g : result.gates)
+            if (!r.gate(g))
+                return false;
+        return true;
+    }
+};
+
+/** A class coordinate and its pulse solution. */
+struct PulsePayload
+{
+    static constexpr const char *kName = "pulse";
+    static constexpr std::uint32_t kMagic = 0x43505152u;  // "RQPC"
+    static constexpr std::uint32_t kVersion = 1;
+    static obs::Counter *evictions() { return cacheMetrics().pulseEvictions; }
+
+    weyl::WeylCoord coord;
+    uarch::PulseSolution sol;
+
+    /** Never serve unverified work; re-solve instead. */
+    bool servable() const { return sol.converged; }
+    bool operator<(const PulsePayload &o) const
+    {
+        return std::tie(coord.x, coord.y, coord.z) <
+               std::tie(o.coord.x, o.coord.y, o.coord.z);
+    }
+    void describe(ClassStats &row) const { row.coord = coord; }
+
+    void write(persist::Writer &w) const
+    {
+        writeCoord(w, coord);
+        w.u32(sol.converged ? 1u : 0u);
+        w.u32(static_cast<std::uint32_t>(sol.scheme));
+        w.f64(sol.tau);
+        w.f64(sol.omega1);
+        w.f64(sol.omega2);
+        w.f64(sol.delta);
+        writeCoord(w, sol.target);
+        writeCoord(w, sol.effective);
+        w.f64(sol.coordError);
+        w.u32(sol.hasCorrections ? 1u : 0u);
+        w.matrix(sol.a1);
+        w.matrix(sol.a2);
+        w.matrix(sol.b1);
+        w.matrix(sol.b2);
+    }
+
+    bool read(persist::Reader &r)
+    {
+        std::uint32_t converged, scheme, has_corr;
+        if (!readCoord(r, coord) || !r.u32(converged) || converged > 1)
+            return false;
+        sol.converged = converged == 1;
+        if (!r.u32(scheme) ||
+            scheme > static_cast<std::uint32_t>(
+                         uarch::SubScheme::EAMinus))
+            return false;
+        sol.scheme = static_cast<uarch::SubScheme>(scheme);
+        if (!r.f64(sol.tau) || !r.f64(sol.omega1) ||
+            !r.f64(sol.omega2) || !r.f64(sol.delta) ||
+            !readCoord(r, sol.target) || !readCoord(r, sol.effective) ||
+            !r.f64(sol.coordError) || !r.u32(has_corr) || has_corr > 1)
+            return false;
+        sol.hasCorrections = has_corr == 1;
+        return r.matrix(sol.a1) && r.matrix(sol.a2) &&
+               r.matrix(sol.b1) && r.matrix(sol.b2);
+    }
+};
+
+/**
+ * The skeleton both caches share: entries bucketed by `hash` across
+ * independently locked shards, each with its own counters, use clock
+ * and least-recently-used eviction; first-writer-wins inserts under
+ * `same`; and the one on-disk frame (magic, version, cache header,
+ * entry count, entries, checksum).
+ */
+template <class Payload>
+class LruTable
+{
+  public:
+    struct Entry : Payload
+    {
+        double solveSeconds = 0.0;
+        std::int64_t uses = 0;
+        std::uint64_t lastUse = 0;
+    };
+
+    struct Shard
+    {
+        mutable std::mutex mu;
+        std::unordered_multimap<std::uint64_t, Entry> entries;
+        CacheCounters stats;
+        std::uint64_t clock = 0;  //!< use clock (eviction is per shard)
+    };
+
+    using Hash = std::function<std::uint64_t(const Payload &)>;
+    using Same = std::function<bool(const Payload &, const Payload &)>;
+
+    /** `capacity` bounds the sum over shards. */
+    LruTable(std::size_t capacity, std::size_t nshards, Hash hash,
+             Same same)
+        : hash_(std::move(hash)), same_(std::move(same)),
+          nshards_(nshards), shardCapacity_(capacity / nshards),
+          shards_(std::make_unique<Shard[]>(nshards))
+    {
+    }
+
+    std::size_t shardCount() const { return nshards_; }
+
+    Shard &shardOf(std::uint64_t h) const
+    {
+        return shards_[h % nshards_];
+    }
+
+    /** The entry of bucket `h` satisfying `match`; s.mu held. */
+    template <class Match>
+    static Entry *find(Shard &s, std::uint64_t h, Match match)
+    {
+        auto [it, last] = s.entries.equal_range(h);
+        for (; it != last; ++it)
+            if (match(it->second))
+                return &it->second;
+        return nullptr;
+    }
+
+    /** Record a served lookup; s.mu held. */
+    static void touch(Shard &s, Entry &e)
+    {
+        ++e.uses;
+        e.lastUse = ++s.clock;
+    }
+
+    /**
+     * Account `solve_seconds`, then keep `e` if it is servable and no
+     * entry already there is the same (first writer wins: a racing
+     * job's store, or a live entry over a persisted one), evicting
+     * the least recently used entries down to the shard's capacity.
+     */
+    void add(Entry e, double solve_seconds)
+    {
+        const std::uint64_t h = hash_(e);
+        Shard &s = shardOf(h);
+        std::lock_guard<std::mutex> lk(s.mu);
+        s.stats.solveSeconds += solve_seconds;
+        if (!e.servable() ||
+            find(s, h, [&](const Entry &x) { return same_(x, e); }))
+            return;
+        e.lastUse = ++s.clock;
+        s.entries.emplace(h, std::move(e));
+        while (s.entries.size() > shardCapacity_) {
+            auto victim = s.entries.begin();
+            for (auto it = s.entries.begin(); it != s.entries.end();
+                 ++it)
+                if (it->second.lastUse < victim->second.lastUse)
+                    victim = it;
+            s.entries.erase(victim);
+            ++s.stats.evictions;
+            Payload::evictions()->inc();
+        }
+    }
+
+    CacheCounters stats() const
+    {
+        CacheCounters total;
+        for (std::size_t i = 0; i < nshards_; ++i) {
+            std::lock_guard<std::mutex> lk(shards_[i].mu);
+            total.hits += shards_[i].stats.hits;
+            total.misses += shards_[i].stats.misses;
+            total.evictions += shards_[i].stats.evictions;
+            total.solveSeconds += shards_[i].stats.solveSeconds;
+        }
+        return total;
+    }
+
+    std::size_t size() const
+    {
+        std::size_t n = 0;
+        forEach([&](const Entry &) { ++n; });
+        return n;
+    }
+
+    std::vector<ClassStats> perClass() const
+    {
+        std::vector<ClassStats> out;
+        forEach([&](const Entry &e) {
+            ClassStats row;
+            e.describe(row);
+            row.uses = e.uses;
+            row.solveSeconds = e.solveSeconds;
+            out.push_back(row);
+        });
+        return out;
+    }
+
+    /** Write the file; `header(w)` appends the cache's own fields. */
+    template <class Header>
+    bool save(const std::string &path, Header header) const
+    {
+        obs::Span span(std::string("persist:") + Payload::kName +
+                       "-save");
+        std::vector<Entry> snapshot;
+        forEach([&](const Entry &e) { snapshot.push_back(e); });
+        std::sort(snapshot.begin(), snapshot.end());
+
+        persist::Writer w;
+        w.u32(Payload::kMagic);
+        w.u32(Payload::kVersion);
+        header(w);
+        w.u64(snapshot.size());
+        for (const Entry &e : snapshot) {
+            e.write(w);
+            w.f64(e.solveSeconds);
+            w.i64(e.uses);
+        }
+        const bool ok = w.commit(path);
+        obs::log(ok ? obs::LogLevel::Info : obs::LogLevel::Warn,
+                 "persist", name() + (ok ? " saved" : " save failed"),
+                 {{"path", path},
+                  {"entries", std::to_string(snapshot.size())}});
+        return ok;
+    }
+
+    /**
+     * Merge a file written by save(); `header(r)` checks the cache's
+     * own fields. All-or-nothing: every entry is parsed before any
+     * is added, so a rejected file leaves the table untouched.
+     */
+    template <class Header>
+    bool load(const std::string &path, Header header)
+    {
+        obs::Span span(std::string("persist:") + Payload::kName +
+                       "-load");
+        const auto coldStart = [&](obs::LogLevel level,
+                                   const char *why) {
+            obs::log(level, "persist", name() + why + "; cold start",
+                     {{"path", path}});
+            return false;
+        };
+        std::string data;
+        if (!persist::Reader::slurp(path, data))
+            return coldStart(obs::LogLevel::Debug, " file absent");
+        persist::Reader r(std::move(data));
+        if (!r.verifyChecksum())
+            return coldStart(obs::LogLevel::Warn,
+                             " rejected: bad checksum");
+        std::uint32_t magic, version;
+        if (!r.u32(magic) || magic != Payload::kMagic ||
+            !r.u32(version) || version != Payload::kVersion)
+            return coldStart(obs::LogLevel::Warn,
+                             " rejected: format mismatch");
+        std::uint64_t count;
+        if (!header(r) || !r.u64(count) || count > kMaxEntries)
+            return false;
+        std::vector<Entry> parsed;
+        parsed.reserve(count);
+        for (std::uint64_t i = 0; i < count; ++i) {
+            Entry e;
+            if (!e.read(r) || !r.f64(e.solveSeconds) ||
+                !r.i64(e.uses))
+                return false;
+            parsed.push_back(std::move(e));
+        }
+        if (r.remaining() != 0)
+            return false;
+
+        for (Entry &e : parsed)
+            add(std::move(e), 0.0);
+        obs::log(obs::LogLevel::Info, "persist", name() + " loaded",
+                 {{"path", path},
+                  {"entries", std::to_string(parsed.size())}});
+        return true;
+    }
+
+  private:
+    static std::string name()
+    {
+        return std::string(Payload::kName) + " cache";
+    }
+
+    /** f(entry) for every entry, one shard lock at a time. */
+    template <class F>
+    void forEach(F f) const
+    {
+        for (std::size_t i = 0; i < nshards_; ++i) {
+            std::lock_guard<std::mutex> lk(shards_[i].mu);
+            for (const auto &[h, e] : shards_[i].entries) {
+                (void)h;
+                f(e);
+            }
+        }
+    }
+
+    Hash hash_;
+    Same same_;
+    std::size_t nshards_;
+    std::size_t shardCapacity_;
+    std::unique_ptr<Shard[]> shards_;
+};
+
+} // namespace detail
+
+using SynthTable = detail::LruTable<detail::SynthPayload>;
+using PulseTable = detail::LruTable<detail::PulsePayload>;
 
 // ---- SynthCache --------------------------------------------------------
 
 SynthCache::SynthCache(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)),
-      nshards_(capacity_ >= kStripeThreshold ? 16 : 1),
-      shardCapacity_(std::max<std::size_t>(capacity_ / nshards_, 1)),
-      shards_(std::make_unique<Shard[]>(nshards_))
 {
+    capacity = std::max<std::size_t>(capacity, 1);
+    table_ = std::make_unique<SynthTable>(
+        capacity, capacity >= kStripeThreshold ? 16 : 1,
+        [](const detail::SynthPayload &p) { return fnv1a(p.key); },
+        [](const detail::SynthPayload &a,
+           const detail::SynthPayload &b) { return a.key == b.key; });
 }
+
+SynthCache::~SynthCache() = default;
 
 bool
 SynthCache::lookup(const qmath::Matrix &target,
@@ -181,28 +572,24 @@ SynthCache::lookup(const qmath::Matrix &target,
     std::vector<std::int64_t> key = fingerprint(target);
     appendOptions(key, opts);
     const std::uint64_t h = fnv1a(key);
-    Shard &shard = shardOf(h);
+    SynthTable::Shard &shard = table_->shardOf(h);
+    const auto hasKey = [&](const SynthTable::Entry &e) {
+        return e.key == key;
+    };
 
     // Copy the candidate out under the lock, verify outside it: the
     // rebuild-and-compare is the expensive part of a hit, and doing
     // it in the critical section would serialize warm-cache workers.
     synth::SynthesisResult candidate;
-    bool found = false;
     {
         std::lock_guard<std::mutex> lk(shard.mu);
-        auto [it, last] = shard.entries.equal_range(h);
-        for (; it != last; ++it) {
-            if (it->second.key == key) {
-                candidate = it->second.result;
-                found = true;
-                break;
-            }
-        }
-        if (!found) {
+        const SynthTable::Entry *e = SynthTable::find(shard, h, hasKey);
+        if (!e) {
             ++shard.stats.misses;
             cacheMetrics().synthMisses->inc();
             return false;
         }
+        candidate = e->result;
     }
     // Re-verify successful entries against the requested target; a
     // failed verification is treated as a miss (the caller
@@ -228,14 +615,9 @@ SynthCache::lookup(const qmath::Matrix &target,
     }
     ++shard.stats.hits;
     cacheMetrics().synthHits->inc();
-    auto [it, last] = shard.entries.equal_range(h);
-    for (; it != last; ++it) {
-        if (it->second.key == key) {  // may have been evicted since
-            ++it->second.uses;
-            it->second.lastUse = ++clock_;
-            break;
-        }
-    }
+    // The entry may have been evicted since.
+    if (SynthTable::Entry *e = SynthTable::find(shard, h, hasKey))
+        SynthTable::touch(shard, *e);
     out = std::move(candidate);
     return true;
 }
@@ -246,293 +628,118 @@ SynthCache::store(const qmath::Matrix &target,
                   const synth::SynthesisResult &result,
                   double solve_seconds)
 {
-    std::vector<std::int64_t> key = fingerprint(target);
-    appendOptions(key, opts);
-    const std::uint64_t h = fnv1a(key);
-    Shard &shard = shardOf(h);
-
-    std::lock_guard<std::mutex> lk(shard.mu);
-    shard.stats.solveSeconds += solve_seconds;
-    auto [it, last] = shard.entries.equal_range(h);
-    for (; it != last; ++it)
-        if (it->second.key == key)
-            return;  // racing job stored the identical result first
-    Entry e;
-    e.key = std::move(key);
+    SynthTable::Entry e;
+    e.key = fingerprint(target);
+    appendOptions(e.key, opts);
     e.result = result;
     e.solveSeconds = solve_seconds;
     e.uses = 1;
-    e.lastUse = ++clock_;
-    shard.entries.emplace(h, std::move(e));
-    evictIfNeeded(shard);
-}
-
-void
-SynthCache::evictIfNeeded(Shard &shard)
-{
-    while (shard.entries.size() > shardCapacity_) {
-        auto victim = shard.entries.begin();
-        for (auto it = shard.entries.begin();
-             it != shard.entries.end(); ++it)
-            if (it->second.lastUse < victim->second.lastUse)
-                victim = it;
-        shard.entries.erase(victim);
-        ++shard.stats.evictions;
-        cacheMetrics().synthEvictions->inc();
-    }
+    table_->add(std::move(e), solve_seconds);
 }
 
 CacheCounters
 SynthCache::stats() const
 {
-    CacheCounters total;
-    for (std::size_t s = 0; s < nshards_; ++s) {
-        std::lock_guard<std::mutex> lk(shards_[s].mu);
-        total.hits += shards_[s].stats.hits;
-        total.misses += shards_[s].stats.misses;
-        total.evictions += shards_[s].stats.evictions;
-        total.solveSeconds += shards_[s].stats.solveSeconds;
-    }
-    return total;
+    return table_->stats();
 }
 
 std::size_t
 SynthCache::size() const
 {
-    std::size_t n = 0;
-    for (std::size_t s = 0; s < nshards_; ++s) {
-        std::lock_guard<std::mutex> lk(shards_[s].mu);
-        n += shards_[s].entries.size();
-    }
-    return n;
+    return table_->size();
+}
+
+int
+SynthCache::shardCount() const
+{
+    return static_cast<int>(table_->shardCount());
 }
 
 std::vector<ClassStats>
 SynthCache::perClass() const
 {
-    std::vector<ClassStats> out;
-    for (std::size_t s = 0; s < nshards_; ++s) {
-        std::lock_guard<std::mutex> lk(shards_[s].mu);
-        for (const auto &[h, e] : shards_[s].entries) {
-            (void)h;
-            ClassStats row;
-            row.blockCount = e.result.blockCount;
-            row.uses = e.uses;
-            row.solveSeconds = e.solveSeconds;
-            out.push_back(row);
-        }
-    }
-    return out;
+    return table_->perClass();
 }
 
 bool
 SynthCache::save(const std::string &path) const
 {
-    obs::Span span("persist:synth-save");
-    // Snapshot shard by shard, then order deterministically by key so
-    // identical cache contents always produce identical files.
-    std::vector<Entry> snapshot;
-    for (std::size_t s = 0; s < nshards_; ++s) {
-        std::lock_guard<std::mutex> lk(shards_[s].mu);
-        for (const auto &[h, e] : shards_[s].entries) {
-            (void)h;
-            snapshot.push_back(e);
-        }
-    }
-    std::sort(snapshot.begin(), snapshot.end(),
-              [](const Entry &a, const Entry &b) {
-                  return a.key < b.key;
-              });
-
-    persist::Writer w;
-    w.u32(kSynthMagic);
-    w.u32(kSynthFormatVersion);
-    w.f64(kFingerprintScale);
-    w.u64(snapshot.size());
-    for (const Entry &e : snapshot) {
-        w.u64(e.key.size());
-        for (std::int64_t word : e.key)
-            w.i64(word);
-        w.u32(e.result.success ? 1u : 0u);
-        w.f64(e.result.infidelity);
-        w.u32(static_cast<std::uint32_t>(e.result.blockCount));
-        w.u64(e.result.gates.size());
-        for (const circuit::Gate &g : e.result.gates)
-            w.gate(g);
-        w.f64(e.solveSeconds);
-        w.i64(e.uses);
-    }
-    const bool ok = w.commit(path);
-    obs::log(ok ? obs::LogLevel::Info : obs::LogLevel::Warn,
-             "persist",
-             ok ? "synth cache saved" : "synth cache save failed",
-             {{"path", path},
-              {"entries", std::to_string(snapshot.size())}});
-    return ok;
+    return table_->save(path, [](persist::Writer &w) {
+        w.f64(kFingerprintScale);
+    });
 }
 
 bool
 SynthCache::load(const std::string &path)
 {
-    obs::Span span("persist:synth-load");
-    std::string data;
-    if (!persist::Reader::slurp(path, data)) {
-        obs::log(obs::LogLevel::Debug, "persist",
-                 "synth cache file absent; cold start",
-                 {{"path", path}});
-        return false;
-    }
-    persist::Reader r(std::move(data));
-    if (!r.verifyChecksum()) {
-        obs::log(obs::LogLevel::Warn, "persist",
-                 "synth cache rejected: bad checksum; cold start",
-                 {{"path", path}});
-        return false;
-    }
-    std::uint32_t magic, version;
-    if (!r.u32(magic) || magic != kSynthMagic ||
-        !r.u32(version) || version != kSynthFormatVersion) {
-        obs::log(obs::LogLevel::Warn, "persist",
-                 "synth cache rejected: format mismatch; cold "
-                 "start",
-                 {{"path", path}});
-        return false;
-    }
-    double scale;
-    if (!r.f64(scale) || !sameBits(scale, kFingerprintScale))
-        return false;
-
-    // All-or-nothing: parse everything before touching the shards.
-    std::uint64_t count;
-    if (!r.u64(count) || count > kMaxEntries)
-        return false;
-    std::vector<Entry> parsed;
-    parsed.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        Entry e;
-        std::uint64_t nwords;
-        if (!r.u64(nwords) || nwords > kMaxKeyWords)
-            return false;
-        e.key.resize(nwords);
-        for (std::uint64_t k = 0; k < nwords; ++k)
-            if (!r.i64(e.key[k]))
-                return false;
-        std::uint32_t success, block_count;
-        if (!r.u32(success) || success > 1)
-            return false;
-        e.result.success = success == 1;
-        if (!r.f64(e.result.infidelity))
-            return false;
-        if (!r.u32(block_count))
-            return false;
-        e.result.blockCount = static_cast<int>(block_count);
-        std::uint64_t ngates;
-        if (!r.u64(ngates) || ngates > kMaxGates)
-            return false;
-        e.result.gates.resize(ngates);
-        for (std::uint64_t g = 0; g < ngates; ++g)
-            if (!r.gate(e.result.gates[g]))
-                return false;
-        if (!r.f64(e.solveSeconds) || !r.i64(e.uses))
-            return false;
-        parsed.push_back(std::move(e));
-    }
-    if (r.remaining() != 0)
-        return false;
-
-    for (Entry &e : parsed) {
-        const std::uint64_t h = fnv1a(e.key);
-        Shard &shard = shardOf(h);
-        std::lock_guard<std::mutex> lk(shard.mu);
-        auto [it, last] = shard.entries.equal_range(h);
-        bool dup = false;
-        for (; it != last; ++it) {
-            if (it->second.key == e.key) {
-                dup = true;
-                break;
-            }
-        }
-        if (dup)
-            continue;  // live entry wins over the persisted one
-        e.lastUse = ++clock_;
-        shard.entries.emplace(h, std::move(e));
-        evictIfNeeded(shard);
-    }
-    obs::log(obs::LogLevel::Info, "persist", "synth cache loaded",
-             {{"path", path},
-              {"entries", std::to_string(parsed.size())}});
-    return true;
+    return table_->load(path, [](persist::Reader &r) {
+        double scale;
+        return r.f64(scale) && sameBits(scale, kFingerprintScale);
+    });
 }
 
 // ---- PulseCache --------------------------------------------------------
 
 PulseCache::PulseCache(const uarch::Coupling &cpl, double tol,
                        std::size_t capacity)
-    : cpl_(cpl), tol_(std::max(tol, 1e-12)), capacity_(capacity)
+    : cpl_(cpl), tol_(std::max(tol, 1e-12)),
+      table_(std::make_unique<PulseTable>(
+          capacity, 1,
+          [tol = tol_](const detail::PulsePayload &p) {
+              return cellOf(p.coord, tol);
+          },
+          [tol = tol_](const detail::PulsePayload &a,
+                       const detail::PulsePayload &b) {
+              return a.coord.distance(b.coord) <= tol;
+          }))
 {
 }
 
-std::uint64_t
-PulseCache::cellOf(const weyl::WeylCoord &c) const
-{
-    const std::vector<std::int64_t> cell = {
-        static_cast<std::int64_t>(std::floor(c.x / tol_)),
-        static_cast<std::int64_t>(std::floor(c.y / tol_)),
-        static_cast<std::int64_t>(std::floor(c.z / tol_)),
-    };
-    return fnv1a(cell);
-}
+PulseCache::~PulseCache() = default;
 
 bool
 PulseCache::lookup(const weyl::WeylCoord &coord,
                    uarch::PulseSolution &sol)
 {
-    std::lock_guard<std::mutex> lk(mu_);
+    // The single shard's lock covers every probed cell.
+    PulseTable::Shard &shard = table_->shardOf(0);
+    std::lock_guard<std::mutex> lk(shard.mu);
     // Probe the coordinate's cell and all 26 neighbours so a match
     // within tolerance is found regardless of cell-boundary effects.
-    auto lexLess = [](const weyl::WeylCoord &a,
-                      const weyl::WeylCoord &b) {
-        return std::tie(a.x, a.y, a.z) < std::tie(b.x, b.y, b.z);
-    };
-    Entry *best = nullptr;
+    PulseTable::Entry *best = nullptr;
     double best_dist = tol_;
-    for (int dx = -1; dx <= 1; ++dx) {
-        for (int dy = -1; dy <= 1; ++dy) {
-            for (int dz = -1; dz <= 1; ++dz) {
-                weyl::WeylCoord probe = coord;
-                probe.x += dx * tol_;
-                probe.y += dy * tol_;
-                probe.z += dz * tol_;
-                auto [it, last] = entries_.equal_range(cellOf(probe));
-                for (; it != last; ++it) {
-                    Entry &e = it->second;
-                    const double d = e.coord.distance(coord);
-                    // Deterministic choice among candidates: nearest
-                    // first, coordinate-lexicographic on ties (never
-                    // container iteration order).
-                    const bool better =
-                        !best || d < best_dist - 1e-15 ||
-                        (std::abs(d - best_dist) <= 1e-15 &&
-                         lexLess(e.coord, best->coord));
-                    if (d <= tol_ && better) {
-                        best = &e;
-                        best_dist = d;
-                    }
-                }
+    for (int n = 0; n < 27; ++n) {
+        weyl::WeylCoord probe = coord;
+        probe.x += (n / 9 - 1) * tol_;
+        probe.y += (n / 3 % 3 - 1) * tol_;
+        probe.z += (n % 3 - 1) * tol_;
+        auto [it, last] =
+            shard.entries.equal_range(cellOf(probe, tol_));
+        for (; it != last; ++it) {
+            PulseTable::Entry &e = it->second;
+            const double d = e.coord.distance(coord);
+            // Deterministic choice among candidates: nearest first,
+            // coordinate-lexicographic on ties (never container
+            // iteration order).
+            const bool better = !best || d < best_dist - 1e-15 ||
+                                (std::abs(d - best_dist) <= 1e-15 &&
+                                 e < *best);
+            if (d <= tol_ && better) {
+                best = &e;
+                best_dist = d;
             }
         }
     }
     // Only verified solutions are served: converged, and the solver's
     // own re-extraction matched its target class.
     if (best && best->sol.converged && best->sol.coordError <= tol_) {
-        ++best->uses;
-        best->lastUse = ++clock_;
-        ++stats_.hits;
+        PulseTable::touch(shard, *best);
+        ++shard.stats.hits;
         cacheMetrics().pulseHits->inc();
         sol = best->sol;
         return true;
     }
-    ++stats_.misses;
+    ++shard.stats.misses;
     cacheMetrics().pulseMisses->inc();
     return false;
 }
@@ -542,244 +749,55 @@ PulseCache::store(const weyl::WeylCoord &coord,
                   const uarch::PulseSolution &sol,
                   double solve_seconds)
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    stats_.solveSeconds += solve_seconds;
-    if (!sol.converged)
-        return;  // never serve unverified work; re-solve instead
-    const std::uint64_t h = cellOf(coord);
-    auto [it, last] = entries_.equal_range(h);
-    for (; it != last; ++it)
-        if (it->second.coord.distance(coord) <= tol_)
-            return;  // racing job stored this class first
-    Entry e;
+    PulseTable::Entry e;
     e.coord = coord;
     e.sol = sol;
     e.solveSeconds = solve_seconds;
     e.uses = 1;
-    e.lastUse = ++clock_;
-    entries_.emplace(h, std::move(e));
-    evictIfNeeded();
-}
-
-void
-PulseCache::evictIfNeeded()
-{
-    while (entries_.size() > capacity_) {
-        auto victim = entries_.begin();
-        for (auto it = entries_.begin(); it != entries_.end(); ++it)
-            if (it->second.lastUse < victim->second.lastUse)
-                victim = it;
-        entries_.erase(victim);
-        ++stats_.evictions;
-        cacheMetrics().pulseEvictions->inc();
-    }
+    table_->add(std::move(e), solve_seconds);
 }
 
 CacheCounters
 PulseCache::stats() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    return stats_;
+    return table_->stats();
 }
 
 std::size_t
 PulseCache::size() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    return entries_.size();
+    return table_->size();
 }
 
 std::vector<ClassStats>
 PulseCache::perClass() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
-    std::vector<ClassStats> out;
-    out.reserve(entries_.size());
-    for (const auto &[h, e] : entries_) {
-        (void)h;
-        ClassStats s;
-        s.coord = e.coord;
-        s.uses = e.uses;
-        s.solveSeconds = e.solveSeconds;
-        out.push_back(s);
-    }
-    return out;
+    return table_->perClass();
 }
-
-namespace
-{
-
-void
-writeCoord(persist::Writer &w, const weyl::WeylCoord &c)
-{
-    w.f64(c.x);
-    w.f64(c.y);
-    w.f64(c.z);
-}
-
-bool
-readCoord(persist::Reader &r, weyl::WeylCoord &c)
-{
-    return r.f64(c.x) && r.f64(c.y) && r.f64(c.z);
-}
-
-} // namespace
 
 bool
 PulseCache::save(const std::string &path) const
 {
-    obs::Span span("persist:pulse-save");
-    std::vector<Entry> snapshot;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        snapshot.reserve(entries_.size());
-        for (const auto &[h, e] : entries_) {
-            (void)h;
-            snapshot.push_back(e);
-        }
-    }
-    std::sort(snapshot.begin(), snapshot.end(),
-              [](const Entry &a, const Entry &b) {
-                  return std::tie(a.coord.x, a.coord.y, a.coord.z) <
-                         std::tie(b.coord.x, b.coord.y, b.coord.z);
-              });
-
-    persist::Writer w;
-    w.u32(kPulseMagic);
-    w.u32(kPulseFormatVersion);
-    w.f64(cpl_.a);
-    w.f64(cpl_.b);
-    w.f64(cpl_.c);
-    w.f64(tol_);
-    w.u64(snapshot.size());
-    for (const Entry &e : snapshot) {
-        writeCoord(w, e.coord);
-        const uarch::PulseSolution &s = e.sol;
-        w.u32(s.converged ? 1u : 0u);
-        w.u32(static_cast<std::uint32_t>(s.scheme));
-        w.f64(s.tau);
-        w.f64(s.omega1);
-        w.f64(s.omega2);
-        w.f64(s.delta);
-        writeCoord(w, s.target);
-        writeCoord(w, s.effective);
-        w.f64(s.coordError);
-        w.u32(s.hasCorrections ? 1u : 0u);
-        w.matrix(s.a1);
-        w.matrix(s.a2);
-        w.matrix(s.b1);
-        w.matrix(s.b2);
-        w.f64(e.solveSeconds);
-        w.i64(e.uses);
-    }
-    const bool ok = w.commit(path);
-    obs::log(ok ? obs::LogLevel::Info : obs::LogLevel::Warn,
-             "persist",
-             ok ? "pulse cache saved" : "pulse cache save failed",
-             {{"path", path},
-              {"entries", std::to_string(snapshot.size())}});
-    return ok;
+    return table_->save(path, [this](persist::Writer &w) {
+        w.f64(cpl_.a);
+        w.f64(cpl_.b);
+        w.f64(cpl_.c);
+        w.f64(tol_);
+    });
 }
 
 bool
 PulseCache::load(const std::string &path)
 {
-    obs::Span span("persist:pulse-load");
-    std::string data;
-    if (!persist::Reader::slurp(path, data)) {
-        obs::log(obs::LogLevel::Debug, "persist",
-                 "pulse cache file absent; cold start",
-                 {{"path", path}});
-        return false;
-    }
-    persist::Reader r(std::move(data));
-    if (!r.verifyChecksum()) {
-        obs::log(obs::LogLevel::Warn, "persist",
-                 "pulse cache rejected: bad checksum; cold start",
-                 {{"path", path}});
-        return false;
-    }
-    std::uint32_t magic, version;
-    if (!r.u32(magic) || magic != kPulseMagic ||
-        !r.u32(version) || version != kPulseFormatVersion) {
-        obs::log(obs::LogLevel::Warn, "persist",
-                 "pulse cache rejected: format mismatch; cold "
-                 "start",
-                 {{"path", path}});
-        return false;
-    }
-    double a, b, c, tol;
-    if (!r.f64(a) || !r.f64(b) || !r.f64(c) || !r.f64(tol))
-        return false;
     // A pulse file is bound to one coupling and one cluster
     // tolerance; anything else would serve solutions for the wrong
     // hardware or cluster classes too aggressively.
-    if (!sameBits(a, cpl_.a) || !sameBits(b, cpl_.b) ||
-        !sameBits(c, cpl_.c) || !sameBits(tol, tol_))
-        return false;
-
-    std::uint64_t count;
-    if (!r.u64(count) || count > kMaxEntries)
-        return false;
-    std::vector<Entry> parsed;
-    parsed.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        Entry e;
-        if (!readCoord(r, e.coord))
-            return false;
-        uarch::PulseSolution &s = e.sol;
-        std::uint32_t converged, scheme, has_corr;
-        if (!r.u32(converged) || converged > 1)
-            return false;
-        s.converged = converged == 1;
-        if (!r.u32(scheme) ||
-            scheme > static_cast<std::uint32_t>(
-                         uarch::SubScheme::EAMinus))
-            return false;
-        s.scheme = static_cast<uarch::SubScheme>(scheme);
-        if (!r.f64(s.tau) || !r.f64(s.omega1) || !r.f64(s.omega2) ||
-            !r.f64(s.delta))
-            return false;
-        if (!readCoord(r, s.target) || !readCoord(r, s.effective))
-            return false;
-        if (!r.f64(s.coordError))
-            return false;
-        if (!r.u32(has_corr) || has_corr > 1)
-            return false;
-        s.hasCorrections = has_corr == 1;
-        if (!r.matrix(s.a1) || !r.matrix(s.a2) || !r.matrix(s.b1) ||
-            !r.matrix(s.b2))
-            return false;
-        if (!r.f64(e.solveSeconds) || !r.i64(e.uses))
-            return false;
-        parsed.push_back(std::move(e));
-    }
-    if (r.remaining() != 0)
-        return false;
-
-    std::lock_guard<std::mutex> lk(mu_);
-    for (Entry &e : parsed) {
-        if (!e.sol.converged)
-            continue;  // store() never admits these; neither do we
-        const std::uint64_t h = cellOf(e.coord);
-        auto [it, last] = entries_.equal_range(h);
-        bool dup = false;
-        for (; it != last; ++it) {
-            if (it->second.coord.distance(e.coord) <= tol_) {
-                dup = true;
-                break;
-            }
-        }
-        if (dup)
-            continue;  // live entry wins over the persisted one
-        e.lastUse = ++clock_;
-        entries_.emplace(h, std::move(e));
-        evictIfNeeded();
-    }
-    obs::log(obs::LogLevel::Info, "persist", "pulse cache loaded",
-             {{"path", path},
-              {"entries", std::to_string(parsed.size())}});
-    return true;
+    return table_->load(path, [this](persist::Reader &r) {
+        double a, b, c, tol;
+        return r.f64(a) && r.f64(b) && r.f64(c) && r.f64(tol) &&
+               sameBits(a, cpl_.a) && sameBits(b, cpl_.b) &&
+               sameBits(c, cpl_.c) && sameBits(tol, tol_);
+    });
 }
 
 } // namespace reqisc::service

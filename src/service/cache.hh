@@ -25,18 +25,14 @@
  *    boundary a coordinate falls). Only converged, verified solutions
  *    are ever returned. A PulseCache is bound to one coupling.
  *
- * Concurrency. Both caches are thread-safe. The SynthCache is on the
- * hot path of intra-job parallel block resynthesis (synth::BlockPool
- * workers hammer it concurrently), so its entries are striped across
- * independently locked shards keyed by the fingerprint hash; small
- * caches (below kStripeThreshold) collapse to a single shard, which
- * keeps exact global LRU semantics where capacity pressure actually
- * matters in tests. With multiple shards the capacity bound and LRU
- * eviction are per-shard — an approximation of global LRU that never
- * affects results, only which entries survive pressure. The
- * PulseCache keeps one mutex (its critical sections are microseconds
- * against milliseconds-to-seconds solves). Both are instrumented
- * with compiler::CacheCounters plus per-class solve times.
+ * Storage. Both caches are built on one thread-safe table
+ * (detail::LruTable, cache.cc): independently locked shards, each
+ * with its own CacheCounters, use clock and LRU eviction. The
+ * SynthCache is on the hot path of intra-job parallel block
+ * resynthesis, so from kStripeThreshold up it stripes across 16
+ * shards (capacity and LRU then per shard — which entries survive
+ * pressure may differ from global LRU, results never do); smaller
+ * caches, and the PulseCache always, use one shard and exact LRU.
  *
  * Persistence. Both caches serialize to a single binary file
  * (save/load) in the persist.hh format: a versioned header carrying
@@ -53,12 +49,9 @@
 #ifndef REQISC_SERVICE_CACHE_HH
 #define REQISC_SERVICE_CACHE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "compiler/metrics.hh"
@@ -79,6 +72,13 @@ struct ClassStats
     double solveSeconds = 0.0; //!< wall time of the initial solve
 };
 
+namespace detail
+{
+template <class Payload> class LruTable;  // all defined in cache.cc
+struct SynthPayload;
+struct PulsePayload;
+} // namespace detail
+
 /** Memoization cache for 3-qubit block resynthesis. */
 class SynthCache final : public synth::BlockMemo
 {
@@ -87,6 +87,7 @@ class SynthCache final : public synth::BlockMemo
     static constexpr std::size_t kStripeThreshold = 1024;
 
     explicit SynthCache(std::size_t capacity = 1 << 14);
+    ~SynthCache() override;
 
     bool lookup(const qmath::Matrix &target,
                 const synth::SynthesisOptions &opts,
@@ -101,7 +102,7 @@ class SynthCache final : public synth::BlockMemo
     std::size_t size() const;
 
     /** Lock stripes backing the cache (1 below kStripeThreshold). */
-    int shardCount() const { return static_cast<int>(nshards_); }
+    int shardCount() const;
 
     /** Snapshot of per-entry instrumentation (unordered). */
     std::vector<ClassStats> perClass() const;
@@ -120,34 +121,7 @@ class SynthCache final : public synth::BlockMemo
     bool load(const std::string &path);
 
   private:
-    struct Entry
-    {
-        std::vector<std::int64_t> key;
-        synth::SynthesisResult result;  //!< local qubit ids 0..2
-        double solveSeconds = 0.0;
-        std::int64_t uses = 0;
-        std::uint64_t lastUse = 0;
-    };
-
-    struct Shard
-    {
-        mutable std::mutex mu;
-        std::unordered_multimap<std::uint64_t, Entry> entries;
-        CacheCounters stats;
-    };
-
-    Shard &shardOf(std::uint64_t h) const
-    {
-        return shards_[h % nshards_];
-    }
-
-    void evictIfNeeded(Shard &s);  //!< requires s.mu held
-
-    std::size_t capacity_;       //!< global bound (sum over shards)
-    std::size_t nshards_;
-    std::size_t shardCapacity_;
-    std::unique_ptr<Shard[]> shards_;
-    std::atomic<std::uint64_t> clock_{0};
+    std::unique_ptr<detail::LruTable<detail::SynthPayload>> table_;
 };
 
 /** Memoization cache for per-SU(4)-class pulse solutions. */
@@ -163,6 +137,7 @@ class PulseCache final : public uarch::PulseMemo
      */
     explicit PulseCache(const uarch::Coupling &cpl, double tol = 1e-6,
                         std::size_t capacity = 1 << 14);
+    ~PulseCache() override;
 
     bool lookup(const weyl::WeylCoord &coord,
                 uarch::PulseSolution &sol) override;
@@ -196,26 +171,9 @@ class PulseCache final : public uarch::PulseMemo
     bool load(const std::string &path);
 
   private:
-    struct Entry
-    {
-        weyl::WeylCoord coord;
-        uarch::PulseSolution sol;
-        double solveSeconds = 0.0;
-        std::int64_t uses = 0;
-        std::uint64_t lastUse = 0;
-    };
-
-    std::uint64_t cellOf(const weyl::WeylCoord &c) const;
-    void evictIfNeeded();  //!< requires mu_ held
-
     uarch::Coupling cpl_;
     double tol_;
-    std::size_t capacity_;
-    mutable std::mutex mu_;
-    /** Cell hash -> entries whose coordinate falls in that cell. */
-    std::unordered_multimap<std::uint64_t, Entry> entries_;
-    CacheCounters stats_;
-    std::uint64_t clock_ = 0;
+    std::unique_ptr<detail::LruTable<detail::PulsePayload>> table_;
 };
 
 } // namespace reqisc::service

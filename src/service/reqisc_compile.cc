@@ -55,8 +55,7 @@ struct CliOptions
     std::vector<std::string> files;
     std::string suite;           //!< "", "small" or "medium"
     std::string backendPath;     //!< chip JSON file; "" = no backend
-    service::Pipeline pipeline = service::Pipeline::Full;
-    std::string pipelineSpec;    //!< set for --pipeline custom:...
+    std::string pipelineSpec = "full";
     int jobs = 1;
     int blockWorkers = 1;        //!< intra-job resynthesis workers
     std::string cacheDir;        //!< persistent caches; "" = off
@@ -222,15 +221,7 @@ parseArgs(int argc, char **argv, CliOptions &cli)
                           << error << "\n";
                 return false;
             }
-            if (spec.kind == compiler::PipelineSpec::Kind::Custom) {
-                cli.pipelineSpec = v;
-            } else {
-                cli.pipelineSpec.clear();
-                cli.pipeline =
-                    spec.kind == compiler::PipelineSpec::Kind::Eff
-                        ? service::Pipeline::Eff
-                        : service::Pipeline::Full;
-            }
+            cli.pipelineSpec = v;
         } else if (arg == "--list-passes") {
             printPassList(std::cout);
             std::exit(0);
@@ -461,7 +452,6 @@ main(int argc, char **argv)
         }
     }
     for (service::CompileRequest &req : batch) {
-        req.pipeline = cli.pipeline;
         req.pipelineSpec = cli.pipelineSpec;
         req.options.seed = cli.seed;
         req.options.variationalMode = cli.variational;
@@ -495,8 +485,7 @@ main(int argc, char **argv)
     sopts.threads = cli.jobs;
     sopts.blockWorkers = cli.blockWorkers;
     sopts.cacheDir = cli.cacheDir;
-    sopts.enableSynthCache = !cli.noCache;
-    sopts.enablePulseCache = !cli.noCache;
+    sopts.enableCaches = !cli.noCache;
     if (!cli.backendPath.empty()) {
         try {
             sopts.backend =

@@ -155,6 +155,7 @@ CompileService::CompileService(ServiceOptions opts)
         const unsigned hw = std::thread::hardware_concurrency();
         threads_ = hw ? static_cast<int>(hw) : 1;
     }
+    bool pulse_cache = opts_.enableCaches;
     if (opts_.backend) {
         // The gate-set selection loop runs once per service; jobs
         // only read the tables.
@@ -169,16 +170,15 @@ CompileService::CompileService(ServiceOptions opts)
         } else {
             // The pulse cache is bound to a single coupling, which
             // heterogeneous chips do not have.
-            opts_.enablePulseCache = false;
+            pulse_cache = false;
         }
     }
-    if (opts_.enableSynthCache)
-        synthCache_ = std::make_unique<SynthCache>(
-            opts_.synthCacheCapacity);
-    if (opts_.enablePulseCache)
+    // Both caches keep their default capacity (1 << 14 entries).
+    if (opts_.enableCaches)
+        synthCache_ = std::make_unique<SynthCache>();
+    if (pulse_cache)
         pulseCache_ = std::make_unique<PulseCache>(
-            opts_.coupling, opts_.pulseClusterTol,
-            opts_.pulseCacheCapacity);
+            opts_.coupling, opts_.pulseClusterTol);
     if (!opts_.cacheDir.empty()) {
         if (synthCache_)
             synthLoaded_ = synthCache_->load(
@@ -421,22 +421,27 @@ CompileService::runJob(const Job &job)
                     makeError(errc::kParseError, e.what()));
             }
         }
+        // Routing assumes the circuit fits the chip: reject a wider
+        // one as this job's error instead.
+        if (opts_.backend &&
+            input.numQubits() > opts_.backend->numQubits())
+            throw ApiException(makeError(
+                errc::kBadRequest,
+                "circuit has " + std::to_string(input.numQubits()) +
+                    " qubits but the backend has " +
+                    std::to_string(opts_.backend->numQubits())));
         compiler::CompileOptions copts = job.req.options;
         CountingBlockMemo synthMemo(synthCache_.get());
         if (synthCache_)
             copts.synthMemo = &synthMemo;
         copts.synthPool = blockPool_.get();
 
-        // One canonical path: the request resolves to a spec string
-        // (pipelineSpec, or the deprecated enum spelled as its name)
-        // and everything goes through the spec grammar.
         compiler::PipelineSpec spec;
         std::string error;
-        if (!compiler::parsePipelineSpec(
-                job.req.resolvedPipelineSpec(), spec, error))
-            throw ApiException(
-                makeError(errc::kBadPipelineSpec, error,
-                          job.req.resolvedPipelineSpec()));
+        if (!compiler::parsePipelineSpec(job.req.pipelineSpec, spec,
+                                         error))
+            throw ApiException(makeError(errc::kBadPipelineSpec, error,
+                                         job.req.pipelineSpec));
 
         // Build unit, assemble the pipeline, run it, copy out.
         compiler::CompilationUnit unit =

@@ -58,29 +58,17 @@
 namespace reqisc::service
 {
 
-/**
- * DEPRECATED alias for the two named pipeline specs. The canonical
- * pipeline field is CompileRequest::pipelineSpec ("eff", "full" or
- * "custom:..."); this enum survives only so pre-spec call sites
- * (`req.pipeline = Pipeline::Eff`) keep compiling. It is consulted
- * solely by CompileRequest::resolvedPipelineSpec() when pipelineSpec
- * is empty.
- */
-enum class Pipeline
-{
-    Eff,   //!< alias for pipelineSpec = "eff"
-    Full,  //!< alias for pipelineSpec = "full"
-};
-
 /** Service-wide configuration (fixed at construction). */
 struct ServiceOptions
 {
     /** Worker threads; 0 means hardware_concurrency(). */
     int threads = 1;
-    bool enableSynthCache = true;
-    bool enablePulseCache = true;
-    std::size_t synthCacheCapacity = 1 << 14;
-    std::size_t pulseCacheCapacity = 1 << 14;
+    /**
+     * The synth and pulse memo caches (1 << 14 entries each). A
+     * backend without one chip-wide coupling still runs without the
+     * pulse cache.
+     */
+    bool enableCaches = true;
     /** Target hardware: duration model, pulse solves, calibration. */
     uarch::Coupling coupling = uarch::Coupling::xy(1.0);
     /** SU(4)-class clustering tolerance (calibration + pulse cache). */
@@ -161,22 +149,18 @@ struct CompileRequest
     std::string name;             //!< label echoed in the result
     circuit::Circuit input;       //!< used unless `qasm` is set
     std::string qasm;             //!< parsed in the worker when set
-    /** DEPRECATED alias; see resolvedPipelineSpec(). */
-    Pipeline pipeline = Pipeline::Full;
     /**
-     * The canonical pipeline field: "eff", "full" or
-     * "custom:pass,pass,..." (the pass-manager grammar,
-     * compiler/pass_manager.hh). Custom lists run literally, except
-     * that requested stages missing from the list are appended: an
-     * `estimate` pass always (so JobResult metrics are evaluated)
-     * and a `schedule` pass when `schedule` below is set; named
-     * specs get the service stages (route on a backend, estimate,
-     * reconfigure, schedule when requested) appended automatically.
-     * A malformed spec is captured as the job's error like any
-     * other per-job failure. Empty falls back to the deprecated
-     * `pipeline` enum alias above.
+     * The pipeline: "eff", "full" or "custom:pass,pass,..." (the
+     * pass-manager grammar, compiler/pass_manager.hh). Custom lists
+     * run literally, except that requested stages missing from the
+     * list are appended: an `estimate` pass always (so JobResult
+     * metrics are evaluated) and a `schedule` pass when `schedule`
+     * below is set; named specs get the service stages (route on a
+     * backend, estimate, reconfigure, schedule when requested)
+     * appended automatically. A malformed spec is captured as the
+     * job's error like any other per-job failure.
      */
-    std::string pipelineSpec;
+    std::string pipelineSpec = "full";
     compiler::CompileOptions options;
     /** Build the per-circuit calibration plan (shared pulse cache). */
     bool calibrate = true;
@@ -204,19 +188,6 @@ struct CompileRequest
      * removed by cancel() never invoke it.
      */
     std::function<void(JobResult)> onDone;
-
-    /**
-     * The canonical pipeline spec this request runs: pipelineSpec
-     * when non-empty, else the deprecated enum alias spelled as its
-     * spec name. Everything downstream (runJob, the wire schema)
-     * routes through this and compiler::parsePipelineSpec.
-     */
-    std::string resolvedPipelineSpec() const
-    {
-        if (!pipelineSpec.empty())
-            return pipelineSpec;
-        return pipeline == Pipeline::Eff ? "eff" : "full";
-    }
 };
 
 /** The concurrent compilation service. */

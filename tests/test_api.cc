@@ -113,21 +113,10 @@ TEST(ApiRequest, RoundTripsQasmVerbatim)
     // The circuit travels as 17-significant-digit OpenQASM, so the
     // reparsed circuit is gate-for-gate bit-identical.
     EXPECT_EQ(back.qasm, circuit::toQasm(req.input));
-    EXPECT_EQ(back.resolvedPipelineSpec(), "eff");
+    EXPECT_EQ(back.pipelineSpec, "eff");
     EXPECT_EQ(back.options.seed, 12345u);
     EXPECT_TRUE(back.schedule);
     EXPECT_EQ(back.scheduleOptions.strategy, isa::Strategy::Alap);
-}
-
-TEST(ApiRequest, LegacyEnumResolvesThroughTheSpecField)
-{
-    service::CompileRequest req;
-    req.input = suite::smallSuite().front().circuit;
-    req.pipeline = service::Pipeline::Eff;  // deprecated alias
-    EXPECT_EQ(req.resolvedPipelineSpec(), "eff");
-    const JsonValue doc = api::compileRequestToJson(req);
-    ASSERT_NE(doc.find("pipeline"), nullptr);
-    EXPECT_EQ(doc.find("pipeline")->str, "eff");
 }
 
 TEST(ApiRequest, StrictParserRejectsBadBodies)
@@ -161,7 +150,7 @@ TEST(ApiRequest, DefaultsPipelineToFull)
 {
     const service::CompileRequest req = api::compileRequestFromJson(
         parseJson(R"({"qasm": "OPENQASM 2.0;"})", "req"));
-    EXPECT_EQ(req.resolvedPipelineSpec(), "full");
+    EXPECT_EQ(req.pipelineSpec, "full");
 }
 
 // ---- Result documents --------------------------------------------------

@@ -661,6 +661,37 @@ TEST(BackendService, HomogeneousChipKeepsThePulseCacheAlive)
     EXPECT_GT(stats.hits + stats.misses, 0);
 }
 
+TEST(BackendService, CircuitWiderThanTheChipIsABadRequest)
+{
+    // Routing assumes the circuit fits the chip: a 9-qubit job on
+    // the 8-qubit chain fails as that job's bad-request error
+    // instead of taking the process down, and the service keeps
+    // serving.
+    service::ServiceOptions sopts;
+    sopts.backend = std::make_shared<const backend::Backend>(
+        backend::Backend::fromJsonFile(chipPath("chain8_xy.json")));
+    service::CompileService svc(sopts);
+    const auto chainOf = [](int n) {
+        circuit::Circuit c(n);
+        for (int q = 0; q + 1 < n; ++q)
+            c.add(circuit::Gate::cx(q, q + 1));
+        return c;
+    };
+
+    service::CompileRequest wide;
+    wide.name = "wide";
+    wide.input = chainOf(9);
+    const service::JobResult bad = svc.wait(svc.submit(wide));
+    EXPECT_FALSE(bad.ok);
+    EXPECT_EQ(bad.errorInfo.code, service::errc::kBadRequest);
+
+    service::CompileRequest fits;
+    fits.name = "fits";
+    fits.input = chainOf(8);
+    const service::JobResult good = svc.wait(svc.submit(fits));
+    EXPECT_TRUE(good.ok) << good.error;
+}
+
 TEST(BackendService, EstimateFidelityRejectsUnroutedCircuits)
 {
     const backend::Backend chip = backend::Backend::fromJsonFile(

@@ -4,13 +4,15 @@
  * service/persist.hh): bit-exact round-trip save/load, rejection of
  * files with a mismatched version / fingerprint scale / coupling /
  * tolerance, clean cold starts on missing, truncated and corrupted
- * files, atomic saves that never leave partial files behind, and the
+ * files, atomic saves that never leave partial files behind, the
+ * committed tests/data/ files re-saving byte-identically, and the
  * service-level `cacheDir` warm start (a second CompileService loads
  * what the first one saved and compiles bit-identically out of cache).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -299,6 +301,21 @@ TEST(SynthCachePersist, WrongMagicIsRejected)
 
     service::SynthCache cache;
     EXPECT_FALSE(cache.load(path));
+
+    // And the other way round: a synth magic in front of an
+    // otherwise valid pulse header.
+    const uarch::Coupling cpl = uarch::Coupling::xy(1.0);
+    service::PulseCache pulse(cpl, 1e-6);
+    service::persist::Writer p;
+    p.u32(kSynthMagic);
+    p.u32(kFormatVersion);
+    p.f64(cpl.a);
+    p.f64(cpl.b);
+    p.f64(cpl.c);
+    p.f64(pulse.tolerance());
+    p.u64(0);
+    ASSERT_TRUE(p.commit(path));
+    EXPECT_FALSE(pulse.load(path));
 }
 
 TEST(SynthCachePersist, FingerprintScaleMismatchIsRejected)
@@ -351,6 +368,24 @@ TEST(SynthCachePersist, SaveLoadSaveIsByteStable)
     ASSERT_TRUE(b.save(dir + "/b.cache"));
 
     EXPECT_EQ(readFile(dir + "/a.cache"), readFile(dir + "/b.cache"));
+
+    // The pulse cache saves through the same frame, ordered by class
+    // coordinate.
+    const uarch::Coupling cpl = uarch::Coupling::xy(1.0);
+    uarch::GateScheme scheme(cpl);
+    service::PulseCache pa(cpl, 1e-6);
+    for (const weyl::WeylCoord &c :
+         {weyl::WeylCoord::iswap(), weyl::WeylCoord::cnot(),
+          weyl::WeylCoord::sqisw()})
+        pa.store(c, scheme.solveCoord(c), 0.01);
+    ASSERT_TRUE(pa.save(dir + "/pa.cache"));
+
+    service::PulseCache pb(cpl, 1e-6);
+    ASSERT_TRUE(pb.load(dir + "/pa.cache"));
+    ASSERT_TRUE(pb.save(dir + "/pb.cache"));
+
+    EXPECT_EQ(readFile(dir + "/pa.cache"),
+              readFile(dir + "/pb.cache"));
 }
 
 // ---- PulseCache persistence --------------------------------------------
@@ -518,6 +553,64 @@ TEST(PulseCachePersist, AtomicSaveLeavesNoPartialFiles)
     EXPECT_EQ(names[0], "pulse.cache");
 }
 
+// ---- On-disk format pin -------------------------------------------------
+
+TEST(CachePersistGolden, CommittedFilesResaveByteIdentically)
+{
+    // tests/data holds one file of each format, written before the
+    // two caches shared a storage skeleton. Loading and re-saving
+    // runs no numerics, so any byte that moves is a format change.
+    const std::string data = std::string(REQISC_SOURCE_DIR) +
+                             "/tests/data/";
+    const std::string dir = scratchDir("golden");
+
+    const auto bySolveTime = [](std::vector<service::ClassStats> rows) {
+        std::sort(rows.begin(), rows.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.solveSeconds < b.solveSeconds;
+                  });
+        return rows;
+    };
+
+    // synth.cache: a 2-block result (used once) and a failed search
+    // (looked up once more).
+    service::SynthCache synth;
+    ASSERT_TRUE(synth.load(data + "synth.cache"));
+    const auto srows = bySolveTime(synth.perClass());
+    ASSERT_EQ(srows.size(), 2u);
+    EXPECT_EQ(srows[0].solveSeconds, 0.0625);
+    EXPECT_EQ(srows[0].uses, 2);
+    EXPECT_EQ(srows[0].blockCount, 0);
+    EXPECT_EQ(srows[1].solveSeconds, 0.125);
+    EXPECT_EQ(srows[1].uses, 1);
+    EXPECT_EQ(srows[1].blockCount, 2);
+    ASSERT_TRUE(synth.save(dir + "/synth.cache"));
+    EXPECT_EQ(readFile(dir + "/synth.cache"),
+              readFile(data + "synth.cache"));
+
+    // pulse.cache: CNOT and iSWAP classes; the iSWAP solution carries
+    // single-qubit corrections X, S, I, H.
+    service::PulseCache pulse(uarch::Coupling::xy(1.0), 1e-6);
+    ASSERT_TRUE(pulse.load(data + "pulse.cache"));
+    const auto prows = bySolveTime(pulse.perClass());
+    ASSERT_EQ(prows.size(), 2u);
+    EXPECT_EQ(prows[0].solveSeconds, 0.25);
+    EXPECT_EQ(prows[0].coord.distance(weyl::WeylCoord::cnot()), 0.0);
+    EXPECT_EQ(prows[1].solveSeconds, 0.5);
+    EXPECT_EQ(prows[1].coord.distance(weyl::WeylCoord::iswap()), 0.0);
+    uarch::PulseSolution sol;
+    ASSERT_TRUE(pulse.lookup(weyl::WeylCoord::iswap(), sol));
+    EXPECT_TRUE(sol.hasCorrections);
+    expectSameMatrix(sol.a1, circuit::Gate::x(0).matrix());
+    expectSameMatrix(sol.b1, Matrix::identity(2));
+    // The lookup above bumped a use count: re-save a fresh load.
+    service::PulseCache fresh(uarch::Coupling::xy(1.0), 1e-6);
+    ASSERT_TRUE(fresh.load(data + "pulse.cache"));
+    ASSERT_TRUE(fresh.save(dir + "/pulse.cache"));
+    EXPECT_EQ(readFile(dir + "/pulse.cache"),
+              readFile(data + "pulse.cache"));
+}
+
 // ---- Service-level warm start ------------------------------------------
 
 namespace
@@ -563,7 +656,6 @@ compileAdder5Once(const std::string &cache_dir, bool expect_warm,
     service::CompileRequest req;
     req.name = "adder5";
     req.input = loadExample("/examples/qasm/adder5.qasm");
-    req.pipeline = service::Pipeline::Full;
     service::JobResult r = svc.wait(svc.submit(std::move(req)));
     EXPECT_TRUE(r.ok) << r.error;
     if (flat_out)
@@ -619,7 +711,6 @@ TEST(ServiceCachePersist, CorruptCacheFileColdStartsTheService)
     service::CompileRequest req;
     req.name = "adder5";
     req.input = loadExample("/examples/qasm/adder5.qasm");
-    req.pipeline = service::Pipeline::Full;
     service::JobResult r = svc.wait(svc.submit(std::move(req)));
     ASSERT_TRUE(r.ok) << r.error;
     again_flat = flatten(r);

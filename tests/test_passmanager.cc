@@ -391,7 +391,7 @@ TEST(PassManagerEquivalence, ServiceMatchesLegacyRunJobOnChip)
         service::CompileRequest req;
         req.name = "ghz8";
         req.input = input;
-        req.pipeline = service::Pipeline::Eff;
+        req.pipelineSpec = "eff";
         req.schedule = true;
         req.scheduleOptions.strategy = isa::Strategy::Asap;
         req.calibrate = false;
@@ -445,7 +445,6 @@ TEST(PassManagerEquivalence, ServiceNoBackendMatchesLegacySequence)
     service::CompileRequest req;
     req.name = "adder5";
     req.input = input;
-    req.pipeline = service::Pipeline::Full;
     req.schedule = true;
     req.scheduleOptions.strategy = isa::Strategy::Alap;
     req.calibrate = false;
@@ -652,7 +651,6 @@ TEST(PassTrace, NamedFullPipelineTraceIsChainedAndConsistent)
     service::CompileRequest req;
     req.name = "trace";
     req.input = loadExample(kExampleQasm[3]);  // ising6
-    req.pipeline = service::Pipeline::Full;
     req.schedule = true;
     req.calibrate = false;
     const service::JobResult r = svc.wait(svc.submit(req));
@@ -697,8 +695,7 @@ TEST(PassTrace, WrapperTraceMatchesJobArtifactDeltas)
     // (seconds may differ; nothing else may).
     const Circuit input = loadExample(kExampleQasm[0]);
     service::ServiceOptions sopts;
-    sopts.enableSynthCache = false;
-    sopts.enablePulseCache = false;
+    sopts.enableCaches = false;
     std::vector<compiler::PassTrace> traces[2];
     for (int run = 0; run < 2; ++run) {
         service::CompileService svc(sopts);

@@ -60,7 +60,6 @@ twentyCircuitBatch()
         req.name = bms[i % bms.size()].name + "#" +
                    std::to_string(i / bms.size());
         req.input = bms[i % bms.size()].circuit;
-        req.pipeline = service::Pipeline::Full;
         batch.push_back(std::move(req));
     }
     return batch;
@@ -151,26 +150,81 @@ TEST(SynthCache, GlobalPhaseDoesNotSplitClasses)
     EXPECT_EQ(cache.size(), 1u);
 }
 
+namespace
+{
+
+/** A capacity-2 SynthCache over three distinct targets. */
+struct SynthEvictionProbe
+{
+    service::SynthCache cache{2};
+    synth::SynthesisOptions opts;
+    std::vector<Matrix> keys;
+
+    SynthEvictionProbe()
+    {
+        Rng rng(19);
+        for (int i = 0; i < 3; ++i)
+            keys.push_back(randomUnitary(8, rng));
+    }
+    void store(int i)
+    {
+        // A failure entry: served on the exact key, no verification.
+        cache.store(keys[i], opts, synth::SynthesisResult{}, 0.1);
+    }
+    bool lookup(int i)
+    {
+        synth::SynthesisResult out;
+        return cache.lookup(keys[i], opts, out);
+    }
+};
+
+/** A capacity-2 PulseCache over three distinct classes. */
+struct PulseEvictionProbe
+{
+    service::PulseCache cache{uarch::Coupling::xy(1.0), 1e-6, 2};
+    std::vector<weyl::WeylCoord> keys = {weyl::WeylCoord::cnot(),
+                                         weyl::WeylCoord::iswap(),
+                                         weyl::WeylCoord::sqisw()};
+
+    void store(int i)
+    {
+        uarch::PulseSolution sol;  // servable: converged, exact
+        sol.converged = true;
+        sol.coordError = 0.0;
+        cache.store(keys[i], sol, 0.1);
+    }
+    bool lookup(int i)
+    {
+        uarch::PulseSolution out;
+        return cache.lookup(keys[i], out);
+    }
+};
+
+template <class Probe>
+void
+expectEvictsLeastRecentlyUsed(Probe &p)
+{
+    p.store(0);
+    p.store(1);
+    // Touch key 0 so key 1 is the LRU victim.
+    EXPECT_TRUE(p.lookup(0));
+    p.store(2);
+    EXPECT_EQ(p.cache.size(), 2u);
+    EXPECT_EQ(p.cache.stats().evictions, 1);
+    EXPECT_TRUE(p.lookup(0));
+    EXPECT_TRUE(p.lookup(2));
+    EXPECT_FALSE(p.lookup(1));
+}
+
+} // namespace
+
 TEST(SynthCache, EvictsLeastRecentlyUsed)
 {
-    service::SynthCache cache(2);
-    synth::SynthesisOptions opts;
-    synth::SynthesisResult dummy;  // failure entry: no verification
-    Rng rng(19);
-    const Matrix a = randomUnitary(8, rng);
-    const Matrix b = randomUnitary(8, rng);
-    const Matrix c = randomUnitary(8, rng);
-    cache.store(a, opts, dummy, 0.1);
-    cache.store(b, opts, dummy, 0.1);
-    // Touch `a` so `b` is the LRU victim.
-    synth::SynthesisResult out;
-    EXPECT_TRUE(cache.lookup(a, opts, out));
-    cache.store(c, opts, dummy, 0.1);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 1);
-    EXPECT_TRUE(cache.lookup(a, opts, out));
-    EXPECT_TRUE(cache.lookup(c, opts, out));
-    EXPECT_FALSE(cache.lookup(b, opts, out));
+    // Both caches sit on the same LRU table; pin it through each.
+    SynthEvictionProbe synth_probe;
+    expectEvictsLeastRecentlyUsed(synth_probe);
+    PulseEvictionProbe pulse_probe;
+    expectEvictsLeastRecentlyUsed(pulse_probe);
 }
 
 // ---- PulseCache --------------------------------------------------------
@@ -413,8 +467,7 @@ TEST(CompileService, DisabledCachesStillCompile)
 {
     service::ServiceOptions sopts;
     sopts.threads = 2;
-    sopts.enableSynthCache = false;
-    sopts.enablePulseCache = false;
+    sopts.enableCaches = false;
     service::CompileService svc(sopts);
     service::CompileRequest req;
     req.name = "qft";
