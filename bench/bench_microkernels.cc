@@ -1,10 +1,11 @@
 /**
  * @file
  * Microkernels for the hot numerical paths: the fixed-size qmath
- * kernels (8x8 mul, 4x4 kron — specialized vs generic), KAK
- * decomposition, genAshN pulse solving per subscheme, 4x4 Hermitian
- * exponentials and one QFactor instantiation. These throughput
- * numbers bound the compiler's scalability (Fig 16(b)).
+ * kernels (8x8 mul, 4x4 kron — specialized vs generic), the Jacobi
+ * SVD and eigensolver, KAK decomposition, genAshN pulse solving per
+ * subscheme, 4x4 Hermitian exponentials, one QFactor instantiation
+ * and one 3Q QFactor sweep. These throughput numbers bound the
+ * compiler's scalability (Fig 16(b)).
  *
  * Runs on the shared bench/common harness like every other bench
  * binary (no external benchmark dependency): each case is
@@ -23,9 +24,11 @@
 
 #include "backend/json.hh"
 #include "common.hh"
+#include "qmath/eig.hh"
 #include "qmath/expm.hh"
 #include "qmath/kernels.hh"
 #include "qmath/random.hh"
+#include "qmath/svd.hh"
 #include "synth/instantiate.hh"
 #include "uarch/genashn.hh"
 #include "weyl/weyl.hh"
@@ -133,6 +136,18 @@ main(int argc, char **argv)
         },
         budget);
 
+    // ---- Jacobi decompositions --------------------------------------
+    // Own stream, so the inputs of the older cases stay as they were.
+    qmath::Rng layerRng(opt.seed + 1);
+    const qmath::Matrix g2 = qmath::randomGinibre(2, layerRng);
+    const qmath::Matrix g4 = qmath::randomGinibre(4, layerRng);
+    const double svd2_us = usPerOp(
+        [&] { g_sink += qmath::svd(g2).s[0]; }, budget);
+    const double svd4_us = usPerOp(
+        [&] { g_sink += qmath::svd(g4).s[0]; }, budget);
+    const double eigh4_us = usPerOp(
+        [&] { g_sink += qmath::eigh(h4).values[0]; }, budget);
+
     // ---- Compiler hot-path cases ------------------------------------
     size_t ui = 0;
     const double kak_us = usPerOp(
@@ -156,6 +171,24 @@ main(int argc, char **argv)
     const double inst_us = usPerOp(
         [&] {
             g_sink += synth::instantiate(target, 2, slots).infidelity;
+        },
+        budget);
+    // One QFactor sweep over a 7-slot 3Q structure (three 1Q, four
+    // 2Q free slots): lift, suffix products, four 4x4 and three 2x2
+    // environment updates.
+    const qmath::Matrix target3 = qmath::randomUnitary(8, layerRng);
+    const std::vector<synth::Slot> slots3 = {
+        synth::Slot::free1Q(0),    synth::Slot::free1Q(1),
+        synth::Slot::free1Q(2),    synth::Slot::free2Q(0, 1),
+        synth::Slot::free2Q(1, 2), synth::Slot::free2Q(0, 1),
+        synth::Slot::free2Q(1, 2)};
+    synth::InstantiateOptions oneSweep;
+    oneSweep.maxSweeps = 1;
+    oneSweep.restarts = 1;
+    const double sweep3_us = usPerOp(
+        [&] {
+            g_sink += synth::instantiate(target3, 3, slots3, oneSweep)
+                          .infidelity;
         },
         budget);
     const uarch::Coupling xy = uarch::Coupling::xy(1.0);
@@ -188,12 +221,17 @@ main(int argc, char **argv)
         doc.set("kron4Us", JsonValue::makeNumber(kron4_fast));
         doc.set("kron4GenericUs",
                 JsonValue::makeNumber(kron4_generic));
+        doc.set("svd2Us", JsonValue::makeNumber(svd2_us));
+        doc.set("svd4Us", JsonValue::makeNumber(svd4_us));
+        doc.set("eigh4Us", JsonValue::makeNumber(eigh4_us));
         doc.set("kakDecomposeUs", JsonValue::makeNumber(kak_us));
         doc.set("expm4x4Us", JsonValue::makeNumber(expm_us));
         doc.set("genAshNSolveNdUs", JsonValue::makeNumber(nd_us));
         doc.set("genAshNSolveEaUs", JsonValue::makeNumber(ea_us));
         doc.set("instantiateTwoQubitUs",
                 JsonValue::makeNumber(inst_us));
+        doc.set("instantiateSweep3QUs",
+                JsonValue::makeNumber(sweep3_us));
         doc.set("optimalDurationUs", JsonValue::makeNumber(dur_us));
         std::fputs(backend::dumpJson(doc, true).c_str(), stdout);
         return 0;
@@ -209,11 +247,16 @@ main(int argc, char **argv)
     tbl.addRow({"kron 4x4(x)2x2 kernel", fmt(kron4_fast, 3),
                 fmt(kron4_speedup, 2) + "x over generic"});
     tbl.addRow({"kron 4x4(x)2x2 generic", fmt(kron4_generic, 3), ""});
+    tbl.addRow({"svd 2x2", fmt(svd2_us, 2), ""});
+    tbl.addRow({"svd 4x4", fmt(svd4_us, 2), ""});
+    tbl.addRow({"eigh 4x4", fmt(eigh4_us, 2), ""});
     tbl.addRow({"kakDecompose 4x4", fmt(kak_us, 2), ""});
     tbl.addRow({"expim 4x4", fmt(expm_us, 2), ""});
     tbl.addRow({"genAshN solve ND", fmt(nd_us, 2), ""});
     tbl.addRow({"genAshN solve EA", fmt(ea_us, 2), ""});
     tbl.addRow({"instantiate 2q free block", fmt(inst_us, 2), ""});
+    tbl.addRow({"instantiate 3Q sweep", fmt(sweep3_us, 2),
+                "7 slots, one sweep"});
     tbl.addRow({"optimalDuration", fmt(dur_us, 2), ""});
     tbl.print(opt.csv);
     return 0;

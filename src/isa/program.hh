@@ -87,6 +87,9 @@ class Program
     /** Canonical order: stable sort by start time. */
     void sortByStart();
 
+    /** Release the instruction list's growth slack (capacity = size). */
+    void shrinkToFit() { instrs_.shrink_to_fit(); }
+
     /** End of the last instruction (0 for an empty program). */
     double makespan() const;
 

@@ -4,38 +4,29 @@
 #include <array>
 #include <cmath>
 
+#include "qmath/fixed_dim.hh"
+
 namespace reqisc::qmath
 {
 
 namespace
 {
 
-/** Sum of squared magnitudes of off-diagonal entries. */
-double
-offDiagonalNorm2(const Matrix &a)
-{
-    double s = 0.0;
-    for (int i = 0; i < a.rows(); ++i)
-        for (int j = 0; j < a.cols(); ++j)
-            if (i != j)
-                s += std::norm(a(i, j));
-    return s;
-}
-
 /**
- * One Jacobi sweep step: build the 2x2 unitary that annihilates
- * a(p,q) of a Hermitian matrix and apply it from both sides,
+ * One Jacobi sweep step on the N x N row-major Hermitian a: build the
+ * 2x2 unitary that annihilates a(p,q) and apply it from both sides,
  * accumulating into v.
  */
+template <int N>
 void
-jacobiRotate(Matrix &a, Matrix &v, int p, int q)
+jacobiRotate(Complex *a, Complex *v, int p, int q)
 {
-    const Complex apq = a(p, q);
+    const Complex apq = a[p * N + q];
     const double mag = std::abs(apq);
     if (mag == 0.0)
         return;
-    const double app = a(p, p).real();
-    const double aqq = a(q, q).real();
+    const double app = a[p * N + p].real();
+    const double aqq = a[q * N + q].real();
     // Phase that makes the off-diagonal entry real positive.
     const Complex phase = apq / mag;
     // Classic symmetric Jacobi angle on the phase-rotated problem;
@@ -49,84 +40,84 @@ jacobiRotate(Matrix &a, Matrix &v, int p, int q)
     const double s = t * c;
     const Complex sp = s * phase;
 
-    const int n = a.rows();
-    // A <- J^dagger A J with J = [[c, -conj(sp)], [sp? ...]] realised
-    // column-wise: col_p' = c*col_p + conj(sp)*col_q,
-    //              col_q' = -sp*col_p + c*col_q.
-    for (int i = 0; i < n; ++i) {
-        const Complex aip = a(i, p);
-        const Complex aiq = a(i, q);
-        a(i, p) = c * aip + std::conj(sp) * aiq;
-        a(i, q) = -sp * aip + c * aiq;
+    // A <- J^dagger A J realised column-wise:
+    //   col_p' = c*col_p + conj(sp)*col_q,
+    //   col_q' = -sp*col_p + c*col_q,
+    // then the matching row update.
+    for (int i = 0; i < N; ++i) {
+        const Complex aip = a[i * N + p];
+        const Complex aiq = a[i * N + q];
+        a[i * N + p] = c * aip + std::conj(sp) * aiq;
+        a[i * N + q] = -sp * aip + c * aiq;
     }
-    for (int j = 0; j < n; ++j) {
-        const Complex apj = a(p, j);
-        const Complex aqj = a(q, j);
-        a(p, j) = c * apj + sp * aqj;
-        a(q, j) = -std::conj(sp) * apj + c * aqj;
+    for (int j = 0; j < N; ++j) {
+        const Complex apj = a[p * N + j];
+        const Complex aqj = a[q * N + j];
+        a[p * N + j] = c * apj + sp * aqj;
+        a[q * N + j] = -std::conj(sp) * apj + c * aqj;
     }
-    for (int i = 0; i < n; ++i) {
-        const Complex vip = v(i, p);
-        const Complex viq = v(i, q);
-        v(i, p) = c * vip + std::conj(sp) * viq;
-        v(i, q) = -sp * vip + c * viq;
+    for (int i = 0; i < N; ++i) {
+        const Complex vip = v[i * N + p];
+        const Complex viq = v[i * N + q];
+        v[i * N + p] = c * vip + std::conj(sp) * viq;
+        v[i * N + q] = -sp * vip + c * viq;
     }
 }
 
-/** Sort eigenpairs ascending by eigenvalue. */
+/**
+ * Two-sided Jacobi eigendecomposition of the N x N Hermitian m in
+ * local arrays, with the eigenpairs sorted ascending into r.
+ */
+template <int N>
 void
-sortEigenpairs(EigResult &r)
+jacobiEigN(const Matrix &m, EigResult &r)
 {
-    const int n = static_cast<int>(r.values.size());
-    // Fixed scratch for the small sizes everything here uses; the
-    // permuted copies stay inline thanks to the Matrix SBO.
-    std::array<int, Matrix::kInlineDim> orderSmall;
-    std::array<double, Matrix::kInlineDim> wSmall;
-    std::vector<int> orderBig;
-    std::vector<double> wBig;
-    int *order = orderSmall.data();
-    double *w = wSmall.data();
-    if (n > Matrix::kInlineDim) {
-        orderBig.resize(n);
-        wBig.resize(n);
-        order = orderBig.data();
-        w = wBig.data();
+    std::array<Complex, N * N> a;
+    std::array<Complex, N * N> v{};
+    std::copy_n(m.data(), N * N, a.begin());
+    for (int i = 0; i < N; ++i)
+        v[i * N + i] = Complex(1.0, 0.0);
+    const double scale = std::max(m.frobeniusNorm(), 1e-300);
+    for (int sweep = 0; sweep < 100; ++sweep) {
+        // Sum of squared magnitudes of the off-diagonal entries.
+        double off = 0.0;
+        for (int i = 0; i < N; ++i)
+            for (int j = 0; j < N; ++j)
+                if (i != j)
+                    off += std::norm(a[i * N + j]);
+        if (std::sqrt(off) < 1e-15 * scale)
+            break;
+        for (int p = 0; p < N - 1; ++p)
+            for (int q = p + 1; q < N; ++q)
+                jacobiRotate<N>(a.data(), v.data(), p, q);
     }
-    for (int j = 0; j < n; ++j)
-        order[j] = j;
-    std::sort(order, order + n, [&](int a, int b) {
-        return r.values[a] < r.values[b];
-    });
-    Matrix v;
-    v.resizeForOverwrite(n, n);
-    for (int j = 0; j < n; ++j) {
-        w[j] = r.values[order[j]];
-        for (int i = 0; i < n; ++i)
-            v(i, j) = r.vectors(i, order[j]);
+
+    // Sort eigenpairs ascending by eigenvalue.
+    std::array<double, N> w;
+    std::array<int, N> order;
+    for (int i = 0; i < N; ++i) {
+        w[i] = a[i * N + i].real();
+        order[i] = i;
     }
-    std::copy_n(w, n, r.values.begin());
-    r.vectors = std::move(v);
+    std::sort(order.data(), order.data() + N,
+              [&](int x, int y) { return w[x] < w[y]; });
+    r.values.resize(N);
+    r.vectors.resizeForOverwrite(N, N);
+    for (int j = 0; j < N; ++j) {
+        r.values[j] = w[order[j]];
+        for (int i = 0; i < N; ++i)
+            r.vectors(i, j) = v[i * N + order[j]];
+    }
 }
 
 EigResult
-jacobiEig(Matrix a)
+jacobiEig(const Matrix &a)
 {
-    const int n = a.rows();
-    Matrix v = Matrix::identity(n);
-    const double scale = std::max(a.frobeniusNorm(), 1e-300);
-    for (int sweep = 0; sweep < 100; ++sweep) {
-        if (std::sqrt(offDiagonalNorm2(a)) < 1e-15 * scale)
-            break;
-        for (int p = 0; p < n - 1; ++p)
-            for (int q = p + 1; q < n; ++q)
-                jacobiRotate(a, v, p, q);
-    }
+    assert(a.rows() == a.cols());
     EigResult r;
-    r.values.resize(n);
-    for (int i = 0; i < n; ++i)
-        r.values[i] = a(i, i).real();
-    r.vectors = std::move(v);
-    sortEigenpairs(r);
+    detail::withFixedDim(a.rows(), "eigh", [&](auto dim) {
+        jacobiEigN<dim()>(a, r);
+    });
     return r;
 }
 

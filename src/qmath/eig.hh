@@ -2,8 +2,13 @@
  * @file
  * Eigensolvers used by the KAK decomposition and the genAshN scheme.
  *
- * All solvers are Jacobi-rotation based: at the 4x4..64x64 scales ReQISC
+ * All solvers are Jacobi-rotation based: at the 2x2..8x8 scales ReQISC
  * needs, Jacobi is simple, numerically robust and more than fast enough.
+ * The Jacobi body is one template on the compile-time dimension, held
+ * in local arrays; every n up to Matrix::kInlineDim dispatches to it
+ * and a larger n throws std::invalid_argument. The operation sequence
+ * (pair order, sweep cap, stopping test, sort) is fixed and the TU
+ * builds with -ffp-contract=off, so results are bit-reproducible.
  */
 
 #ifndef REQISC_QMATH_EIG_HH

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <stdexcept>
 #include <system_error>
@@ -421,6 +422,17 @@ CompileService::runJob(const Job &job)
                     makeError(errc::kParseError, e.what()));
             }
         }
+        // A NaN or infinite angle has no meaning: reject it as this
+        // job's error instead of compiling it into a finite-looking
+        // artifact.
+        for (std::size_t i = 0; i < input.size(); ++i)
+            for (const double p : input[i].params)
+                if (!std::isfinite(p))
+                    throw ApiException(makeError(
+                        errc::kBadRequest,
+                        "gate " + std::to_string(i) + " (" +
+                            input[i].toString() +
+                            ") has a non-finite parameter"));
         // Routing assumes the circuit fits the chip: reject a wider
         // one as this job's error instead.
         if (opts_.backend &&
@@ -506,6 +518,12 @@ CompileService::runJob(const Job &job)
             res.compiled.circuit = std::move(unit.circuit);
             res.compiled.finalPermutation =
                 std::move(unit.finalPermutation);
+            // Finished results are retained (the daemon's history, a
+            // CLI batch, bench clients), so hand them back without
+            // the passes' growth slack.
+            res.compiled.circuit.gates().shrink_to_fit();
+            res.routed.gates().shrink_to_fit();
+            res.program.shrinkToFit();
         }
 
         if (synthCache_)

@@ -142,7 +142,7 @@ instantiate(const Matrix &target, int num_qubits,
     // every matrix here is recycled via the *Into kernels.
     std::vector<Matrix> lifted(m);
     std::vector<Matrix> after(m + 1);
-    Matrix before, tmp, bt, e, f, udag;
+    Matrix before, tmp, bt, e, f;
 
     for (int restart = 0; restart < std::max(1, opts.restarts);
          ++restart) {
@@ -178,11 +178,10 @@ instantiate(const Matrix &target, int num_qubits,
                     kernels::mulInto(e, bt, after[i + 1]);
                     environmentInto(f, e, slots[i].qubits,
                                     num_qubits);
-                    qmath::SvdResult sv = qmath::svd(f);
-                    // G = V U^dagger gives Tr(G F) = sum of singular
-                    // values (max over unitaries).
-                    kernels::daggerInto(udag, sv.u);
-                    kernels::mulInto(slots[i].value, sv.v, udag);
+                    // G = V U^dagger for F = U S V^dagger gives
+                    // Tr(G F) = sum of singular values (max over
+                    // unitaries).
+                    qmath::polarDaggerInto(slots[i].value, f);
                     liftGateInto(lifted[i], slots[i].value,
                                  slots[i].qubits, num_qubits);
                 }

@@ -692,6 +692,40 @@ TEST(BackendService, CircuitWiderThanTheChipIsABadRequest)
     EXPECT_TRUE(good.ok) << good.error;
 }
 
+TEST(BackendService, FinishedResultsAreRightSized)
+{
+    // Finished results are retained (the daemon's history, a CLI
+    // batch), so the service hands back the compiled gates, the
+    // routed gates and the program without growth slack: after a
+    // full + schedule job and after a backend job.
+    const auto expectRightSized = [](const service::JobResult &r) {
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_EQ(r.compiled.circuit.gates().capacity(),
+                  r.compiled.circuit.size());
+        EXPECT_EQ(r.routed.gates().capacity(), r.routed.size());
+        EXPECT_EQ(r.program.instructions().capacity(),
+                  r.program.size());
+    };
+    service::CompileRequest req;
+    req.name = "adder5";
+    req.qasm = readFile(repoPath("examples/qasm/adder5.qasm"));
+    req.schedule = true;
+
+    service::CompileService plain;
+    const service::JobResult logical = plain.wait(plain.submit(req));
+    expectRightSized(logical);
+    EXPECT_FALSE(logical.program.empty());
+
+    service::ServiceOptions sopts;
+    sopts.backend = std::make_shared<const backend::Backend>(
+        backend::Backend::fromJsonFile(chipPath("chain8_xy.json")));
+    service::CompileService onChip(sopts);
+    const service::JobResult routed = onChip.wait(onChip.submit(req));
+    expectRightSized(routed);
+    EXPECT_FALSE(routed.routed.empty());
+    EXPECT_FALSE(routed.program.empty());
+}
+
 TEST(BackendService, EstimateFidelityRejectsUnroutedCircuits)
 {
     const backend::Backend chip = backend::Backend::fromJsonFile(

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -441,6 +442,42 @@ TEST(CompileService, ParserErrorPathsAreCapturedPerJob)
     const service::JobResult gr = svc.wait(good_id);
     ASSERT_TRUE(gr.ok) << gr.error;
     EXPECT_GT(gr.metrics.count2Q, 0);
+}
+
+TEST(CompileService, NonFiniteParametersAreABadRequest)
+{
+    // A NaN or infinite angle fails as that job's bad-request error,
+    // from QASM and from a programmatic circuit alike, instead of
+    // compiling into a finite-looking artifact; the service keeps
+    // serving.
+    service::CompileService svc;
+
+    service::CompileRequest fromQasm;
+    fromQasm.name = "nan-qasm";
+    fromQasm.qasm = "qreg q[2];\nu3(nan,inf,-inf) q[0];\ncx q[0],q[1];\n";
+    const service::JobResult a = svc.wait(svc.submit(std::move(fromQasm)));
+    EXPECT_FALSE(a.ok);
+    EXPECT_EQ(a.errorInfo.code, service::errc::kBadRequest);
+    EXPECT_NE(a.error.find("non-finite"), std::string::npos) << a.error;
+    EXPECT_TRUE(a.compiled.circuit.empty());
+
+    service::CompileRequest programmatic;
+    programmatic.name = "inf-input";
+    programmatic.input = Circuit(2);
+    programmatic.input.add(Gate::cx(0, 1));
+    programmatic.input.add(
+        Gate::rz(1, std::numeric_limits<double>::infinity()));
+    const service::JobResult b =
+        svc.wait(svc.submit(std::move(programmatic)));
+    EXPECT_FALSE(b.ok);
+    EXPECT_EQ(b.errorInfo.code, service::errc::kBadRequest);
+    EXPECT_NE(b.error.find("gate 1"), std::string::npos) << b.error;
+
+    service::CompileRequest good;
+    good.name = "finite";
+    good.qasm = "qreg q[2];\nu3(0.1,0.2,0.3) q[0];\ncx q[0],q[1];\n";
+    const service::JobResult c = svc.wait(svc.submit(std::move(good)));
+    EXPECT_TRUE(c.ok) << c.error;
 }
 
 TEST(CompileService, WaitSemantics)
