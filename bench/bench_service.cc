@@ -18,7 +18,8 @@
  * --json emits the perf-guard summary instead: cold/warm seconds,
  * memoization speedup and the per-pass aggregate timings of the
  * warm run (compiler::PassTrace rolled up over the batch), so the
- * committed baseline records where compile time goes.
+ * committed baseline records where compile time goes, plus the cost
+ * of a PulseCache store into a full cache.
  */
 
 #include <chrono>
@@ -36,6 +37,7 @@
 #include "obs/obs.hh"
 #include "qmath/kernels.hh"
 #include "qmath/random.hh"
+#include "service/cache.hh"
 #include "service/service.hh"
 #include "suite/suite.hh"
 
@@ -204,6 +206,42 @@ main(int argc, char **argv)
                                         off_runs.end());
         }
 
+        // ---- Full-cache stores -------------------------------------
+        // A long-lived service runs its PulseCache at capacity (every
+        // sweep request brings new classes), so each store of a new
+        // class evicts one. Microseconds per store into a full cache,
+        // min of 5 runs of 8192 stores, at 256 classes and at the
+        // default 16384: while eviction is O(1) their ratio
+        // fullCacheStoreScaling stays near 1, and it collapses toward
+        // 0 if a store's cost grows with the cache.
+        const auto fullStoreUs = [](std::size_t capacity) {
+            service::PulseCache cache(uarch::Coupling::xy(1.0), 1e-6,
+                                      capacity);
+            uarch::PulseSolution sol;  // servable: converged, exact
+            sol.converged = true;
+            sol.coordError = 0.0;
+            int next = 0;  // each store a class 10 tolerances apart
+            const auto storeNew = [&] {
+                cache.store({1e-5 * next++, 0.0, 0.0}, sol, 0.0);
+            };
+            for (std::size_t i = 0; i < capacity; ++i)
+                storeNew();
+            constexpr int kStores = 8192;
+            double best = 1e300;
+            for (int rep = 0; rep < 5; ++rep) {
+                const auto t0 = std::chrono::steady_clock::now();
+                for (int i = 0; i < kStores; ++i)
+                    storeNew();
+                best = std::min(
+                    best, std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+            }
+            return best / kStores * 1e6;
+        };
+        const double store_small_us = fullStoreUs(256);
+        const double store_full_us = fullStoreUs(std::size_t{1} << 14);
+
         // ---- Kernel micro-loops -----------------------------------
         // The specialization win of the fixed-size qmath kernels
         // over the generic runtime-sized loop — the acceptance
@@ -321,6 +359,11 @@ main(int argc, char **argv)
         doc.set("obsEfficiency",
                 JsonValue::makeNumber(
                     obs_on > 0.0 ? obs_off / obs_on : 0.0));
+        doc.set("pulseStoreFullUs", JsonValue::makeNumber(store_full_us));
+        doc.set("fullCacheStoreScaling",
+                JsonValue::makeNumber(store_full_us > 0.0
+                                          ? store_small_us / store_full_us
+                                          : 0.0));
         doc.set("kernelSpeedup",
                 JsonValue::makeNumber(kernel_speedup));
         doc.set("kernelKronSpeedup",

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 
 #include "qmath/fixed_dim.hh"
 
@@ -31,6 +32,14 @@ jacobiSvd(const Matrix &a, Complex *uo, double *so, Complex *vo)
         v[i * N + i] = Complex(1.0, 0.0);
 
     const double scale = std::max(a.frobeniusNorm(), 1e-300);
+    // A pair with |cpq| below this is not rotated. scale * scale
+    // underflows to 0 below a norm of about 1e-154; the floor keeps an
+    // exactly orthogonal pair skipped there, whose rotation phase would
+    // be 0/0. For |cpq| >= 0 the test is `mag == 0.0 || mag < 1e-18 *
+    // scale * scale`, with one comparison.
+    const double skip_below =
+        std::max(1e-18 * scale * scale,
+                 std::numeric_limits<double>::denorm_min());
     for (int sweep = 0; sweep < 120; ++sweep) {
         double off = 0.0;
         for (int p = 0; p < N - 1; ++p) {
@@ -45,7 +54,7 @@ jacobiSvd(const Matrix &a, Complex *uo, double *so, Complex *vo)
                 }
                 const double mag = std::abs(cpq);
                 off = std::max(off, mag);
-                if (mag < 1e-18 * scale * scale)
+                if (mag < skip_below)
                     continue;
                 const Complex phase = cpq / mag;
                 const double zeta = (app - aqq) / (2.0 * mag);

@@ -1,10 +1,13 @@
 #include "service/cache.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <list>
+#include <memory>
 #include <mutex>
 #include <tuple>
 #include <unordered_map>
@@ -254,7 +257,14 @@ struct SynthPayload
     }
 };
 
-/** A class coordinate and its pulse solution. */
+/**
+ * A class coordinate and its pulse solution, stored compactly: the
+ * solution's scalar fields inline, and its four one-qubit correction
+ * matrices (inline-buffered, ~1 KB each) only when one of them is
+ * filled. GateScheme::solve fills them; solveCoord, and so every
+ * planCalibration store, never does. unpack() rebuilds exactly the
+ * PulseSolution that pack() was given.
+ */
 struct PulsePayload
 {
     static constexpr const char *kName = "pulse";
@@ -262,11 +272,23 @@ struct PulsePayload
     static constexpr std::uint32_t kVersion = 1;
     static obs::Counter *evictions() { return cacheMetrics().pulseEvictions; }
 
+    using Corrections = std::array<qmath::Matrix, 4>;  //!< a1 a2 b1 b2
+
     weyl::WeylCoord coord;
-    uarch::PulseSolution sol;
+    bool converged = false;
+    uarch::SubScheme scheme = uarch::SubScheme::ND;
+    double tau = 0.0;
+    double omega1 = 0.0;
+    double omega2 = 0.0;
+    double delta = 0.0;
+    weyl::WeylCoord target;
+    weyl::WeylCoord effective;
+    double coordError = 1.0;
+    bool hasCorrections = false;
+    std::shared_ptr<const Corrections> corrections;  //!< null: all empty
 
     /** Never serve unverified work; re-solve instead. */
-    bool servable() const { return sol.converged; }
+    bool servable() const { return converged; }
     bool operator<(const PulsePayload &o) const
     {
         return std::tie(coord.x, coord.y, coord.z) <
@@ -274,71 +296,131 @@ struct PulsePayload
     }
     void describe(ClassStats &row) const { row.coord = coord; }
 
+    void pack(const uarch::PulseSolution &s)
+    {
+        converged = s.converged;
+        scheme = s.scheme;
+        tau = s.tau;
+        omega1 = s.omega1;
+        omega2 = s.omega2;
+        delta = s.delta;
+        target = s.target;
+        effective = s.effective;
+        coordError = s.coordError;
+        hasCorrections = s.hasCorrections;
+        if (filled(s.a1) || filled(s.a2) || filled(s.b1) || filled(s.b2))
+            corrections = std::make_shared<const Corrections>(
+                Corrections{s.a1, s.a2, s.b1, s.b2});
+    }
+
+    void unpack(uarch::PulseSolution &s) const
+    {
+        s.converged = converged;
+        s.scheme = scheme;
+        s.tau = tau;
+        s.omega1 = omega1;
+        s.omega2 = omega2;
+        s.delta = delta;
+        s.target = target;
+        s.effective = effective;
+        s.coordError = coordError;
+        s.hasCorrections = hasCorrections;
+        const Corrections &m = matrices();
+        s.a1 = m[0];
+        s.a2 = m[1];
+        s.b1 = m[2];
+        s.b2 = m[3];
+    }
+
     void write(persist::Writer &w) const
     {
         writeCoord(w, coord);
-        w.u32(sol.converged ? 1u : 0u);
-        w.u32(static_cast<std::uint32_t>(sol.scheme));
-        w.f64(sol.tau);
-        w.f64(sol.omega1);
-        w.f64(sol.omega2);
-        w.f64(sol.delta);
-        writeCoord(w, sol.target);
-        writeCoord(w, sol.effective);
-        w.f64(sol.coordError);
-        w.u32(sol.hasCorrections ? 1u : 0u);
-        w.matrix(sol.a1);
-        w.matrix(sol.a2);
-        w.matrix(sol.b1);
-        w.matrix(sol.b2);
+        w.u32(converged ? 1u : 0u);
+        w.u32(static_cast<std::uint32_t>(scheme));
+        w.f64(tau);
+        w.f64(omega1);
+        w.f64(omega2);
+        w.f64(delta);
+        writeCoord(w, target);
+        writeCoord(w, effective);
+        w.f64(coordError);
+        w.u32(hasCorrections ? 1u : 0u);
+        for (const qmath::Matrix &m : matrices())
+            w.matrix(m);
     }
 
     bool read(persist::Reader &r)
     {
-        std::uint32_t converged, scheme, has_corr;
-        if (!readCoord(r, coord) || !r.u32(converged) || converged > 1)
+        std::uint32_t conv = 0, sch = 0, has_corr = 0;
+        if (!readCoord(r, coord) || !r.u32(conv) || conv > 1)
             return false;
-        sol.converged = converged == 1;
-        if (!r.u32(scheme) ||
-            scheme > static_cast<std::uint32_t>(
-                         uarch::SubScheme::EAMinus))
+        converged = conv == 1;
+        if (!r.u32(sch) ||
+            sch > static_cast<std::uint32_t>(uarch::SubScheme::EAMinus))
             return false;
-        sol.scheme = static_cast<uarch::SubScheme>(scheme);
-        if (!r.f64(sol.tau) || !r.f64(sol.omega1) ||
-            !r.f64(sol.omega2) || !r.f64(sol.delta) ||
-            !readCoord(r, sol.target) || !readCoord(r, sol.effective) ||
-            !r.f64(sol.coordError) || !r.u32(has_corr) || has_corr > 1)
+        scheme = static_cast<uarch::SubScheme>(sch);
+        if (!r.f64(tau) || !r.f64(omega1) || !r.f64(omega2) ||
+            !r.f64(delta) || !readCoord(r, target) ||
+            !readCoord(r, effective) || !r.f64(coordError) ||
+            !r.u32(has_corr) || has_corr > 1)
             return false;
-        sol.hasCorrections = has_corr == 1;
-        return r.matrix(sol.a1) && r.matrix(sol.a2) &&
-               r.matrix(sol.b1) && r.matrix(sol.b2);
+        hasCorrections = has_corr == 1;
+        Corrections m;
+        for (qmath::Matrix &x : m)
+            if (!r.matrix(x))
+                return false;
+        if (std::any_of(m.begin(), m.end(), filled))
+            corrections = std::make_shared<const Corrections>(std::move(m));
+        return true;
+    }
+
+  private:
+    /** Anything but a default (0 x 0) matrix is kept. */
+    static bool filled(const qmath::Matrix &m)
+    {
+        return m.rows() != 0 || m.cols() != 0;
+    }
+
+    const Corrections &matrices() const
+    {
+        static const Corrections kNone;
+        return corrections ? *corrections : kNone;
     }
 };
 
 /**
  * The skeleton both caches share: entries bucketed by `hash` across
- * independently locked shards, each with its own counters, use clock
- * and least-recently-used eviction; first-writer-wins inserts under
+ * independently locked shards, each with its own counters and
+ * least-recently-used eviction; first-writer-wins inserts under
  * `same`; and the one on-disk frame (magic, version, cache header,
  * entry count, entries, checksum).
+ *
+ * Each shard threads its entries on a recency list, least recently
+ * used first: an insert or a served lookup moves the entry to the
+ * back, and eviction takes the front. That is the entry a scan for
+ * the oldest use would pick, found in O(1) instead of O(size).
  */
 template <class Payload>
 class LruTable
 {
   public:
+    struct Entry;
+    using Node = std::pair<const std::uint64_t, Entry>;  //!< of entries
+    using Recency = std::list<Node *>;
+
     struct Entry : Payload
     {
         double solveSeconds = 0.0;
         std::int64_t uses = 0;
-        std::uint64_t lastUse = 0;
+        typename Recency::iterator pos{};  //!< this entry in recency
     };
 
     struct Shard
     {
         mutable std::mutex mu;
         std::unordered_multimap<std::uint64_t, Entry> entries;
+        Recency recency;  //!< every entry, least recently used first
         CacheCounters stats;
-        std::uint64_t clock = 0;  //!< use clock (eviction is per shard)
     };
 
     using Hash = std::function<std::uint64_t(const Payload &)>;
@@ -375,7 +457,7 @@ class LruTable
     static void touch(Shard &s, Entry &e)
     {
         ++e.uses;
-        e.lastUse = ++s.clock;
+        s.recency.splice(s.recency.end(), s.recency, e.pos);
     }
 
     /**
@@ -393,15 +475,15 @@ class LruTable
         if (!e.servable() ||
             find(s, h, [&](const Entry &x) { return same_(x, e); }))
             return;
-        e.lastUse = ++s.clock;
-        s.entries.emplace(h, std::move(e));
+        const auto it = s.entries.emplace(h, std::move(e));
+        it->second.pos = s.recency.insert(s.recency.end(), &*it);
         while (s.entries.size() > shardCapacity_) {
-            auto victim = s.entries.begin();
-            for (auto it = s.entries.begin(); it != s.entries.end();
-                 ++it)
-                if (it->second.lastUse < victim->second.lastUse)
-                    victim = it;
-            s.entries.erase(victim);
+            const Node *victim = s.recency.front();
+            s.recency.pop_front();
+            auto at = s.entries.equal_range(victim->first).first;
+            while (&*at != victim)
+                ++at;
+            s.entries.erase(at);
             ++s.stats.evictions;
             Payload::evictions()->inc();
         }
@@ -732,11 +814,11 @@ PulseCache::lookup(const weyl::WeylCoord &coord,
     }
     // Only verified solutions are served: converged, and the solver's
     // own re-extraction matched its target class.
-    if (best && best->sol.converged && best->sol.coordError <= tol_) {
+    if (best && best->converged && best->coordError <= tol_) {
         PulseTable::touch(shard, *best);
         ++shard.stats.hits;
         cacheMetrics().pulseHits->inc();
-        sol = best->sol;
+        best->unpack(sol);
         return true;
     }
     ++shard.stats.misses;
@@ -751,7 +833,7 @@ PulseCache::store(const weyl::WeylCoord &coord,
 {
     PulseTable::Entry e;
     e.coord = coord;
-    e.sol = sol;
+    e.pack(sol);
     e.solveSeconds = solve_seconds;
     e.uses = 1;
     table_->add(std::move(e), solve_seconds);

@@ -27,12 +27,16 @@
  *
  * Storage. Both caches are built on one thread-safe table
  * (detail::LruTable, cache.cc): independently locked shards, each
- * with its own CacheCounters, use clock and LRU eviction. The
- * SynthCache is on the hot path of intra-job parallel block
- * resynthesis, so from kStripeThreshold up it stripes across 16
- * shards (capacity and LRU then per shard — which entries survive
- * pressure may differ from global LRU, results never do); smaller
- * caches, and the PulseCache always, use one shard and exact LRU.
+ * with its own CacheCounters and a recency list, so a store into a
+ * full shard evicts its least recently used entry in O(1) rather
+ * than by scanning the shard. The SynthCache is on the hot path of
+ * intra-job parallel block resynthesis, so from kStripeThreshold up
+ * it stripes across 16 shards (capacity and LRU then per shard —
+ * which entries survive pressure may differ from global LRU, results
+ * never do); smaller caches, and the PulseCache always, use one
+ * shard and exact LRU. A pulse class keeps the solution's scalar
+ * fields and its correction matrices only when it has any, a couple
+ * of hundred bytes for the classes calibration stores.
  *
  * Persistence. Both caches serialize to a single binary file
  * (save/load) in the persist.hh format: a versioned header carrying

@@ -14,10 +14,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/qasm.hh"
@@ -102,6 +104,36 @@ expectSameMatrix(const Matrix &a, const Matrix &b)
             EXPECT_EQ(a(i, j).real(), b(i, j).real());
             EXPECT_EQ(a(i, j).imag(), b(i, j).imag());
         }
+}
+
+/** Bit-for-bit equality of every field of two pulse solutions. */
+void
+expectSamePulse(const uarch::PulseSolution &got,
+                const uarch::PulseSolution &want)
+{
+    const auto bits = [](double v) {
+        std::uint64_t u;
+        std::memcpy(&u, &v, sizeof(u));
+        return u;
+    };
+    EXPECT_EQ(got.converged, want.converged);
+    EXPECT_EQ(got.scheme, want.scheme);
+    EXPECT_EQ(got.hasCorrections, want.hasCorrections);
+    const double gotScalars[] = {
+        got.tau,         got.omega1,      got.omega2,      got.delta,
+        got.coordError,  got.target.x,    got.target.y,    got.target.z,
+        got.effective.x, got.effective.y, got.effective.z};
+    const double wantScalars[] = {
+        want.tau,         want.omega1,      want.omega2,
+        want.delta,       want.coordError,  want.target.x,
+        want.target.y,    want.target.z,    want.effective.x,
+        want.effective.y, want.effective.z};
+    for (std::size_t i = 0; i < std::size(gotScalars); ++i)
+        EXPECT_EQ(bits(gotScalars[i]), bits(wantScalars[i])) << i;
+    expectSameMatrix(got.a1, want.a1);
+    expectSameMatrix(got.a2, want.a2);
+    expectSameMatrix(got.b1, want.b1);
+    expectSameMatrix(got.b2, want.b2);
 }
 
 /** Exact equality of two gate streams, payload matrices included. */
@@ -397,37 +429,36 @@ TEST(PulseCachePersist, RoundTripServesBitIdenticalSolutions)
 
     const uarch::Coupling cpl = uarch::Coupling::xy(1.0);
     uarch::GateScheme scheme(cpl);
-    const std::vector<weyl::WeylCoord> coords = {
-        weyl::WeylCoord::cnot(), weyl::WeylCoord::iswap()};
+    // Two coordinate solves (no corrections) and one unitary solve,
+    // which carries 2x2 one-qubit corrections.
+    std::vector<std::pair<weyl::WeylCoord, uarch::PulseSolution>> stored;
+    for (const weyl::WeylCoord &c :
+         {weyl::WeylCoord::cnot(), weyl::WeylCoord::iswap()})
+        stored.emplace_back(c, scheme.solveCoord(c));
+    Rng rng(61);
+    const uarch::PulseSolution solved = scheme.solve(randomUnitary(4, rng));
+    ASSERT_TRUE(solved.converged && solved.hasCorrections);
+    ASSERT_EQ(solved.a1.rows(), 2);
+    stored.emplace_back(solved.target, solved);
 
     service::PulseCache a(cpl, 1e-6);
-    for (const auto &c : coords)
-        a.store(c, scheme.solveCoord(c), 0.01);
-    ASSERT_EQ(a.size(), coords.size());
+    for (const auto &[c, sol] : stored)
+        a.store(c, sol, 0.01);
+    ASSERT_EQ(a.size(), stored.size());
     ASSERT_TRUE(a.save(path));
 
     service::PulseCache b(cpl, 1e-6);
     EXPECT_TRUE(b.load(path));
     EXPECT_EQ(b.size(), a.size());
 
-    for (const auto &c : coords) {
+    for (const auto &[c, want] : stored) {
         uarch::PulseSolution sa, sb;
         ASSERT_TRUE(a.lookup(c, sa));
         ASSERT_TRUE(b.lookup(c, sb));
-        EXPECT_EQ(sb.converged, sa.converged);
-        EXPECT_EQ(sb.scheme, sa.scheme);
-        EXPECT_EQ(sb.tau, sa.tau);
-        EXPECT_EQ(sb.omega1, sa.omega1);
-        EXPECT_EQ(sb.omega2, sa.omega2);
-        EXPECT_EQ(sb.delta, sa.delta);
-        EXPECT_EQ(sb.coordError, sa.coordError);
-        EXPECT_EQ(sb.hasCorrections, sa.hasCorrections);
-        EXPECT_EQ(sb.target.distance(sa.target), 0.0);
-        EXPECT_EQ(sb.effective.distance(sa.effective), 0.0);
-        expectSameMatrix(sb.a1, sa.a1);
-        expectSameMatrix(sb.a2, sa.a2);
-        expectSameMatrix(sb.b1, sa.b1);
-        expectSameMatrix(sb.b2, sa.b2);
+        // The live cache serves what was stored, the loaded one what
+        // the live one serves.
+        expectSamePulse(sa, want);
+        expectSamePulse(sb, sa);
     }
 }
 

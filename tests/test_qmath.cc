@@ -352,7 +352,7 @@ referenceSvd(const Matrix &a)
                 }
                 const double mag = std::abs(cpq);
                 off = std::max(off, mag);
-                if (mag < 1e-18 * scale * scale)
+                if (mag == 0.0 || mag < 1e-18 * scale * scale)
                     continue;
                 const Complex phase = cpq / mag;
                 const double zeta = (app - aqq) / (2.0 * mag);
@@ -514,22 +514,11 @@ referenceEig(Matrix a)
     return r;
 }
 
-/**
- * Byte equality of n doubles, except that a NaN matches any NaN: an
- * all-zero SVD input yields NaN in the reference too (0/0 in the
- * rotation phase), and IEEE arithmetic does not pin which operand's
- * NaN sign and payload propagate.
- */
+/** Byte equality of n doubles (no input yields NaN). */
 bool
 sameDoubles(const double *a, const double *b, std::size_t n)
 {
-    for (std::size_t k = 0; k < n; ++k) {
-        if (std::isnan(a[k]) && std::isnan(b[k]))
-            continue;
-        if (std::memcmp(a + k, b + k, sizeof(double)) != 0)
-            return false;
-    }
-    return true;
+    return std::memcmp(a, b, n * sizeof(double)) == 0;
 }
 
 ::testing::AssertionResult
@@ -716,6 +705,32 @@ TEST(JacobiBitIdentityEdge, FusedPolarCompletesOnlyRankDeficientInput)
     EXPECT_TRUE(polarDaggerInto(g, rank1Of2));
     EXPECT_TRUE(g.isUnitary(1e-10));
     EXPECT_TRUE(std::isfinite(g(0, 0).real()));
+}
+
+TEST(JacobiBitIdentityEdge, ZeroMatrixGivesZeroSingularValuesAndUnitaries)
+{
+    // Below a Frobenius norm of ~1e-154 the skip threshold underflows
+    // to 0; an exactly zero pair must still skip, not rotate by 0/0.
+    const auto finite = [](const Matrix &m) {
+        for (std::size_t k = 0; k < m.size(); ++k)
+            if (!std::isfinite(m.data()[k].real()) ||
+                !std::isfinite(m.data()[k].imag()))
+                return false;
+        return true;
+    };
+    for (int n = 1; n <= Matrix::kInlineDim; ++n) {
+        const SvdResult r = svd(Matrix(n, n));
+        for (double s : r.s)
+            EXPECT_EQ(s, 0.0) << "n " << n;
+        EXPECT_TRUE(finite(r.u) && finite(r.v)) << "n " << n;
+        EXPECT_TRUE(r.u.isUnitary(1e-12)) << "n " << n;
+        EXPECT_TRUE(r.v.isUnitary(1e-12)) << "n " << n;
+
+        Matrix g;
+        EXPECT_TRUE(polarDaggerInto(g, Matrix(n, n))) << "n " << n;
+        EXPECT_TRUE(finite(g)) << "n " << n;
+        EXPECT_TRUE(g.isUnitary(1e-12)) << "n " << n;
+    }
 }
 
 TEST(JacobiBitIdentityEdge, SizesPastTheInlineDimAreRejected)

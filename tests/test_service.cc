@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <map>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -154,17 +156,18 @@ TEST(SynthCache, GlobalPhaseDoesNotSplitClasses)
 namespace
 {
 
-/** A capacity-2 SynthCache over three distinct targets. */
+/** A SynthCache over distinct targets (by default capacity 2, 3). */
 struct SynthEvictionProbe
 {
-    service::SynthCache cache{2};
+    service::SynthCache cache;
     synth::SynthesisOptions opts;
     std::vector<Matrix> keys;
 
-    SynthEvictionProbe()
+    explicit SynthEvictionProbe(std::size_t capacity = 2, int classes = 3)
+        : cache(capacity)
     {
         Rng rng(19);
-        for (int i = 0; i < 3; ++i)
+        for (int i = 0; i < classes; ++i)
             keys.push_back(randomUnitary(8, rng));
     }
     void store(int i)
@@ -179,20 +182,33 @@ struct SynthEvictionProbe
     }
 };
 
-/** A capacity-2 PulseCache over three distinct classes. */
+/** A PulseCache over distinct classes (by default capacity 2, 3). */
 struct PulseEvictionProbe
 {
-    service::PulseCache cache{uarch::Coupling::xy(1.0), 1e-6, 2};
+    service::PulseCache cache;
     std::vector<weyl::WeylCoord> keys = {weyl::WeylCoord::cnot(),
                                          weyl::WeylCoord::iswap(),
                                          weyl::WeylCoord::sqisw()};
 
+    explicit PulseEvictionProbe(std::size_t capacity = 2, int classes = 3)
+        : cache(uarch::Coupling::xy(1.0), 1e-6, capacity)
+    {
+        for (int i = 3; i < classes; ++i)
+            keys.push_back({0.05 + 0.01 * i, 0.03, 0.01});
+    }
     void store(int i)
     {
         uarch::PulseSolution sol;  // servable: converged, exact
         sol.converged = true;
         sol.coordError = 0.0;
+        sol.tau = i;  // tells the classes' solutions apart
+        sol.target = keys[i];
         cache.store(keys[i], sol, 0.1);
+    }
+    /** A store the cache must not keep. */
+    void storeUnconverged(int i)
+    {
+        cache.store(keys[i], uarch::PulseSolution{}, 0.1);
     }
     bool lookup(int i)
     {
@@ -217,6 +233,73 @@ expectEvictsLeastRecentlyUsed(Probe &p)
     EXPECT_FALSE(p.lookup(1));
 }
 
+/**
+ * The LRU rule the eviction index must reproduce, kept the plain
+ * way: every kept key's last use, and a scan for the smallest one
+ * whenever an insert overflows the capacity.
+ */
+struct ScanLruModel
+{
+    explicit ScanLruModel(std::size_t cap) : capacity(cap) {}
+
+    std::size_t capacity;
+    std::map<int, std::uint64_t> lastUse;
+    std::uint64_t clock = 0;
+    std::int64_t evictions = 0;
+
+    bool lookup(int k)
+    {
+        const auto it = lastUse.find(k);
+        if (it == lastUse.end())
+            return false;
+        it->second = ++clock;
+        return true;
+    }
+    void store(int k)
+    {
+        if (lastUse.count(k))  // first writer wins, no refresh
+            return;
+        lastUse[k] = ++clock;
+        while (lastUse.size() > capacity) {
+            auto victim = lastUse.begin();
+            for (auto it = lastUse.begin(); it != lastUse.end(); ++it)
+                if (it->second < victim->second)
+                    victim = it;
+            lastUse.erase(victim);
+            ++evictions;
+        }
+    }
+};
+
+/**
+ * A seeded trace of lookups, stores, re-stores of present classes and
+ * (where the cache has them) unservable stores; every lookup and
+ * every eviction count must match the scan model step by step.
+ */
+template <class Probe>
+void
+expectMatchesScanLru(Probe &p, std::size_t capacity, int classes)
+{
+    ScanLruModel model(capacity);
+    std::mt19937 gen(2024);
+    for (int step = 0; step < 4000; ++step) {
+        const int k = static_cast<int>(gen() % classes);
+        const unsigned op = gen() % 10;
+        if (op < 5) {
+            ASSERT_EQ(p.lookup(k), model.lookup(k)) << "step " << step;
+        } else if (op < 9) {
+            p.store(k);
+            model.store(k);
+        } else if constexpr (requires { p.storeUnconverged(k); }) {
+            p.storeUnconverged(k);  // (every synth store is kept)
+        }
+        ASSERT_EQ(p.cache.stats().evictions, model.evictions)
+            << "step " << step;
+    }
+    EXPECT_EQ(p.cache.size(), model.lastUse.size());
+    EXPECT_GT(model.evictions, 500);  // the trace keeps the cache full
+}
+
 } // namespace
 
 TEST(SynthCache, EvictsLeastRecentlyUsed)
@@ -226,6 +309,15 @@ TEST(SynthCache, EvictsLeastRecentlyUsed)
     expectEvictsLeastRecentlyUsed(synth_probe);
     PulseEvictionProbe pulse_probe;
     expectEvictsLeastRecentlyUsed(pulse_probe);
+}
+
+TEST(SynthCache, EvictionMatchesTheLastUseScanOnALongTrace)
+{
+    // Both caches at capacity 8 over 16 classes, the same trace.
+    SynthEvictionProbe synth_probe(8, 16);
+    expectMatchesScanLru(synth_probe, 8, 16);
+    PulseEvictionProbe pulse_probe(8, 16);
+    expectMatchesScanLru(pulse_probe, 8, 16);
 }
 
 // ---- PulseCache --------------------------------------------------------
@@ -545,9 +637,10 @@ TEST(SynthCache, ConcurrentLookupStoreStressIsRaceFree)
     // Run under TSan in CI: several threads hammer lookup/store on a
     // shared cache — the access pattern of synth::BlockPool workers
     // inside one job — both on a single-shard cache under eviction
-    // pressure and on a striped one. Entries are hand-crafted (one
-    // opaque U4 whose lift *is* the target) so a hit's verification
-    // passes bit-exactly without running the structure search.
+    // pressure and on a striped one, then a PulseCache under eviction
+    // pressure. Synth entries are hand-crafted (one opaque U4 whose
+    // lift *is* the target) so a hit's verification passes
+    // bit-exactly without running the structure search.
     constexpr int kThreads = 8;
     constexpr int kIters = 400;
     constexpr int kClasses = 16;
@@ -613,6 +706,38 @@ TEST(SynthCache, ConcurrentLookupStoreStressIsRaceFree)
             EXPECT_GT(cache.shardCount(), 1);
         }
     }
+
+    // The pulse cache under the same eviction pressure: 16 classes
+    // through 8 slots, each hit the solution stored for its class.
+    PulseEvictionProbe probe(8, kClasses);
+    std::atomic<std::int64_t> good_hits{0};
+    std::atomic<std::int64_t> bad_hits{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kIters; ++i) {
+                const int k = (t * 7 + i) % kClasses;
+                uarch::PulseSolution out;
+                if (!probe.cache.lookup(probe.keys[k], out)) {
+                    probe.store(k);
+                    continue;
+                }
+                const bool exact = out.converged && out.tau == k &&
+                                   out.target.distance(probe.keys[k]) ==
+                                       0.0;
+                ++(exact ? good_hits : bad_hits);
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+
+    EXPECT_EQ(bad_hits, 0);
+    const auto stats = probe.cache.stats();
+    EXPECT_EQ(stats.hits + stats.misses, std::int64_t{kThreads} * kIters);
+    EXPECT_EQ(stats.hits, good_hits);
+    EXPECT_LE(probe.cache.size(), 8u);
+    EXPECT_GT(stats.evictions, 0);
 }
 
 TEST(CompileService, BlockWorkersProduceBitIdenticalArtifacts)
