@@ -10,6 +10,7 @@
 #include <type_traits>
 
 #include "obs/span.hh"
+#include "obs/thread_buffers.hh"
 
 namespace reqisc::obs::flight
 {
@@ -29,12 +30,14 @@ constexpr std::size_t kEventWords =
  * Single-writer ring: the owning thread serializes events into the
  * slot words with relaxed stores and publishes with a release bump
  * of head; readers validate against head after copying (see @file
- * in flight.hh). Allocated once per thread, never freed.
+ * in flight.hh). Never freed: a thread hands its ring back at exit
+ * (owned = false) and a later thread may claim it once the table is
+ * full, continuing at the same head.
  */
 struct Ring
 {
     std::atomic<std::uint64_t> head{0};  //!< next write index
-    std::uint32_t tid = 0;
+    std::atomic<bool> owned{true};
     std::atomic<std::uint64_t> words[kRingCapacity * kEventWords];
 };
 
@@ -67,23 +70,60 @@ std::int64_t nsSinceEpoch(std::chrono::steady_clock::time_point t)
     return ns < 0 ? 0 : ns;
 }
 
+/** A fresh ring while the table has room, else an exited thread's. */
+Ring *claimRing()
+{
+    std::uint32_t n = g_ringCount.load(std::memory_order_relaxed);
+    while (n < kMaxThreads)
+    {
+        if (g_ringCount.compare_exchange_weak(
+                n, n + 1, std::memory_order_relaxed))
+        {
+            Ring *r = new Ring();  // leaky: signal-handler traversable
+            g_rings[n].store(r, std::memory_order_release);
+            return r;
+        }
+    }
+    for (std::atomic<Ring *> &slot : g_rings)
+    {
+        Ring *r = slot.load(std::memory_order_acquire);
+        bool owned = false;
+        // Acquire pairs with the release in RingRelease: the previous
+        // owner's slot writes and head are visible to the new owner.
+        if (r != nullptr &&
+            r->owned.compare_exchange_strong(
+                owned, true, std::memory_order_acquire))
+            return r;
+    }
+    g_droppedThreads.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
+}
+
+// Trivially destructible, so still readable while other thread_local
+// destructors run (and may record) during thread exit.
+thread_local Ring *tlsRing = nullptr;
+thread_local bool tlsClaimed = false;
+
+/** Hands the thread's ring back at exit; it records nothing after. */
+struct RingRelease
+{
+    ~RingRelease()
+    {
+        tlsRing->owned.store(false, std::memory_order_release);
+        tlsRing = nullptr;
+    }
+};
+
 Ring *threadRing()
 {
-    thread_local Ring *ring = []() -> Ring * {
-        const std::uint32_t idx =
-            g_ringCount.fetch_add(1, std::memory_order_relaxed);
-        if (idx >= kMaxThreads)
-        {
-            g_droppedThreads.fetch_add(1,
-                                       std::memory_order_relaxed);
-            return nullptr;
-        }
-        Ring *r = new Ring();  // leaky: signal-handler traversable
-        r->tid = idx;
-        g_rings[idx].store(r, std::memory_order_release);
-        return r;
-    }();
-    return ring;
+    if (!tlsClaimed)
+    {
+        tlsClaimed = true;
+        tlsRing = claimRing();
+        if (tlsRing != nullptr)
+            thread_local RingRelease release;
+    }
+    return tlsRing;
 }
 
 void copyField(char *dst, std::size_t cap, const char *src)
@@ -111,10 +151,8 @@ std::size_t collectInto(Event *out, std::size_t cap)
     const std::uint64_t minSeq =
         g_clearSeq.load(std::memory_order_relaxed);
     std::size_t n = 0;
-    std::uint32_t rings =
+    const std::uint32_t rings =
         g_ringCount.load(std::memory_order_acquire);
-    if (rings > kMaxThreads)
-        rings = kMaxThreads;
     for (std::uint32_t i = 0; i < rings && n < cap; ++i)
     {
         Ring *r = g_rings[i].load(std::memory_order_acquire);
@@ -463,7 +501,7 @@ void recordAt(std::chrono::steady_clock::time_point when, Kind kind,
     e.seq = g_seq.fetch_add(1, std::memory_order_relaxed) + 1;
     e.tsNs = nsSinceEpoch(when);
     e.value = value;
-    e.tid = r->tid;
+    e.tid = obs::detail::threadIndex();
     e.kind = static_cast<std::uint8_t>(kind);
     e.level = static_cast<std::uint8_t>(level);
     copyField(e.name, kNameBytes, name);

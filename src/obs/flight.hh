@@ -6,10 +6,10 @@
  * fatal signal there is always a recent-history dump to read —
  * without ever enabling the (opt-in) tracer or metrics registry.
  *
- * Model: each thread owns one single-writer ring of kRingCapacity
- * pre-sized slots (registered in a fixed global table on first use,
- * never freed, so the table stays traversable from a signal
- * handler). A record is a fixed-layout Event — span begin/end, log
+ * Model: each running thread owns one single-writer ring of
+ * kRingCapacity pre-sized slots (registered in a fixed global table
+ * on first use, never freed, so the table stays traversable from a
+ * signal handler). A record is a fixed-layout Event — span begin/end, log
  * record, or metric delta — stamped with a process-global sequence
  * number, a steady-clock timestamp on the tracer's epoch (so flight
  * dumps line up with exported traces), and the current JobScope
@@ -28,8 +28,11 @@
  * self-contained JSON document; see docs/OBSERVABILITY.md.
  *
  * Memory bound: kMaxThreads rings x kRingCapacity slots x
- * sizeof(Event) (~184 B) — threads beyond the table capacity drop
- * their events (counted in droppedThreadCount()) rather than grow.
+ * sizeof(Event) (~184 B). A thread hands its ring back at exit; once
+ * the table is full a new thread takes over such a ring (the exited
+ * thread's newest events stay readable until overwritten). Only a
+ * thread that finds all kMaxThreads rings owned by running threads
+ * drops its events (counted in droppedThreadCount()).
  *
  * Enabled by default; the cost per record (one clock read, a few
  * bounded string copies and ~23 relaxed stores) is paid identically
@@ -79,7 +82,7 @@ struct Event
     std::uint64_t seq = 0;   //!< process-global, 1-based, dense
     std::int64_t tsNs = 0;   //!< steady ns since the tracer epoch
     double value = 0.0;      //!< kind-dependent payload
-    std::uint32_t tid = 0;   //!< dense flight thread index
+    std::uint32_t tid = 0;   //!< per-thread index (as in traces)
     std::uint8_t kind = 0;   //!< Kind
     std::uint8_t level = 0;  //!< log severity (Kind::Log only)
     std::uint16_t pad = 0;
@@ -149,7 +152,10 @@ bool dumpToFile(const std::string &path, const char *trigger);
  */
 void installSignalHandlers();
 
-/** Threads that found the ring table full and record nothing. */
+/**
+ * Threads that found every ring owned by a running thread and
+ * record nothing.
+ */
 std::uint64_t droppedThreadCount();
 
 } // namespace reqisc::obs::flight

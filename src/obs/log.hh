@@ -4,15 +4,13 @@
  * thread, level, component, message, key/value fields, current job)
  * buffered per thread and merged by the sink at export time.
  *
- * Model mirrors obs/span.hh's tracer: each thread owns a record
- * buffer registered with the Logger on first use and retired (handed
- * back) at thread exit, so records written on short-lived pool
- * threads survive into collect(). The logger is a leaky singleton,
- * *disabled* by default — reqisc-compile enables it via
- * --log-out FILE (with --log-level LVL severity filtering) and
- * writes the JSON-lines file at exit; a future daemon would stream
- * collect() instead. Independent of obs::setEnabled(): logging can
- * be on with tracing off and vice versa.
+ * Records are buffered the same way as trace events: each thread
+ * appends to its own buffer, which outlives the thread, and
+ * collect() merges them. The logger is a leaky singleton, *disabled*
+ * by default — reqisc-compile enables it via --log-out FILE (with
+ * --log-level LVL severity filtering) and writes the JSON-lines file
+ * at exit. Independent of obs::setEnabled(): logging can be on with
+ * tracing off and vice versa.
  *
  * Every log() call additionally feeds the always-on flight recorder
  * (before the enabled/severity/rate checks), so the last few hundred
@@ -37,11 +35,11 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/thread_buffers.hh"
 
 namespace reqisc::obs
 {
@@ -67,17 +65,12 @@ struct LogRecord
 {
     LogLevel level = LogLevel::Info;
     std::int64_t tsNs = 0;  //!< steady ns since the tracer epoch
-    std::uint32_t tid = 0;  //!< dense per-thread logger index
+    std::uint32_t tid = 0;  //!< per-thread index (as in traces)
     std::string component;
     std::string message;
     std::string job;  //!< JobScope name at the call ("" = none)
     LogFields fields;
 };
-
-namespace detail
-{
-struct LogBuffer;
-}
 
 /** Process-wide record sink; see @file for the model. */
 class Logger
@@ -126,7 +119,7 @@ class Logger
     }
 
     /**
-     * Copy out every buffered record (live and retired threads),
+     * Copy out every buffered record (running and exited threads),
      * sorted by timestamp.
      */
     std::vector<LogRecord> collect();
@@ -134,20 +127,9 @@ class Logger
     /** Drop all buffered records and reset the dropped counter. */
     void clear();
 
-    /** Internal: append a finished record (log() calls this). */
-    void append(LogRecord &&rec);
-
-    /** Internal: count a record discarded by the rate limiter. */
-    void noteDropped()
-    {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    /** Internal: hand a thread's buffer back at thread exit. */
-    void retire(detail::LogBuffer *buf);
-
   private:
-    detail::LogBuffer &threadBuffer();
+    friend void log(LogLevel, const std::string &,
+                    const std::string &, LogFields);
 
     std::atomic<bool> enabled_{false};
     std::atomic<std::uint8_t> minLevel_{
@@ -157,26 +139,8 @@ class Logger
     std::atomic<std::uint64_t> burstBits_{
         std::bit_cast<std::uint64_t>(200.0)};
     std::atomic<std::uint64_t> dropped_{0};
-
-    std::mutex mu_;  //!< buffer lists + tid assignment
-    std::uint32_t nextTid_ = 0;
-    std::vector<detail::LogBuffer *> live_;
-    std::vector<std::unique_ptr<detail::LogBuffer>> retired_;
+    detail::ThreadBuffers<LogRecord> records_;
 };
-
-namespace detail
-{
-
-/** Per-thread record buffer (mirrors span.hh's ThreadLog). */
-struct LogBuffer
-{
-    Logger *logger = nullptr;
-    std::uint32_t tid = 0;
-    std::mutex mu;  //!< records only
-    std::vector<LogRecord> records;
-};
-
-} // namespace detail
 
 /**
  * Emit one structured record to Logger::global() (and, always, to

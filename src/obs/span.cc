@@ -40,22 +40,24 @@ std::int64_t nsSince(SteadyTime epoch, SteadyTime t)
     return ns < 0 ? 0 : ns;
 }
 
-/**
- * Registers this thread's log on first use and retires it (handing
- * ownership of buffered events to the tracer) at thread exit.
- */
-struct ThreadLogHolder
+void recordFlightEnd(const std::string &name, SteadyTime start,
+                     SteadyTime end)
 {
-    detail::ThreadLog *log = nullptr;
+    flight::recordAt(
+        end, flight::Kind::SpanEnd, name.c_str(), "",
+        static_cast<double>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                end - start)
+                .count()));
+}
 
-    ~ThreadLogHolder()
-    {
-        if (log != nullptr)
-            log->tracer->retire(log);
-    }
-};
+/** Ids of this thread's open spans, innermost last (owner-only). */
+thread_local std::vector<std::uint64_t> tlsStack;
 
-thread_local ThreadLogHolder tlsLog;
+std::uint64_t stackTop()
+{
+    return tlsStack.empty() ? 0 : tlsStack.back();
+}
 
 } // namespace
 
@@ -69,63 +71,24 @@ Tracer &Tracer::global()
     return *g;
 }
 
-detail::ThreadLog &Tracer::threadLog()
-{
-    if (tlsLog.log == nullptr || tlsLog.log->tracer != this)
-    {
-        auto log = std::make_unique<detail::ThreadLog>();
-        log->tracer = this;
-        std::lock_guard lock(mu_);
-        log->tid = nextTid_++;
-        live_.push_back(log.get());
-        // The thread_local holder keeps the raw pointer; ownership
-        // transfers to retired_ when the thread exits.
-        tlsLog.log = log.release();
-    }
-    return *tlsLog.log;
-}
-
-void Tracer::retire(detail::ThreadLog *log)
-{
-    std::lock_guard lock(mu_);
-    live_.erase(std::remove(live_.begin(), live_.end(), log),
-                live_.end());
-    retired_.emplace_back(log);
-}
-
 std::vector<TraceEvent> Tracer::collect()
 {
-    std::vector<TraceEvent> out;
-    std::lock_guard lock(mu_);
-    for (detail::ThreadLog *log : live_)
-    {
-        std::lock_guard logLock(log->mu);
-        out.insert(out.end(), log->events.begin(),
-                   log->events.end());
-    }
-    for (const auto &log : retired_)
-    {
-        std::lock_guard logLock(log->mu);
-        out.insert(out.end(), log->events.begin(),
-                   log->events.end());
-    }
-    std::stable_sort(out.begin(), out.end(),
-                     [](const TraceEvent &a, const TraceEvent &b) {
-                         return a.startNs < b.startNs;
-                     });
-    return out;
+    return events_.collect(
+        [](const TraceEvent &ev) { return ev.startNs; });
 }
 
 void Tracer::clear()
 {
-    std::lock_guard lock(mu_);
-    for (detail::ThreadLog *log : live_)
-    {
-        std::lock_guard logLock(log->mu);
-        log->events.clear();
-    }
-    // Retired threads can never log again; drop their logs entirely.
-    retired_.clear();
+    events_.clear();
+}
+
+void Tracer::append(TraceEvent &&ev, SteadyTime start, SteadyTime end)
+{
+    ev.tid = detail::threadIndex();
+    ev.startNs = nsSince(epoch_, start);
+    ev.durNs = std::max<std::int64_t>(
+        0, nsSince(epoch_, end) - ev.startNs);
+    events_.append(std::move(ev));
 }
 
 // ---- Span --------------------------------------------------------------
@@ -160,13 +123,9 @@ void Span::open(SpanContext explicitParent, bool useStackParent)
     Tracer &tracer = Tracer::global();
     if (!tracer.enabled())
         return;
-    detail::ThreadLog &log = tracer.threadLog();
     id_ = tracer.nextId();
-    if (useStackParent)
-        parent_ = log.stack.empty() ? 0 : log.stack.back();
-    else
-        parent_ = explicitParent.id;
-    log.stack.push_back(id_);
+    parent_ = useStackParent ? stackTop() : explicitParent.id;
+    tlsStack.push_back(id_);
     // Annotation inheritance: spans opened under a JobScope carry
     // the job name so traces correlate with logs/flight dumps.
     if (tlsJob[0] != '\0')
@@ -189,36 +148,21 @@ double Span::stop()
     stopped_ = true;
     const SteadyTime end = Clock::now();
     seconds_ = std::chrono::duration<double>(end - start_).count();
-    flight::recordAt(
-        end, flight::Kind::SpanEnd, name_.c_str(), "",
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                end - start_)
-                .count()));
+    recordFlightEnd(name_, start_, end);
     if (id_ == 0)
         return seconds_;
 
-    Tracer &tracer = Tracer::global();
-    detail::ThreadLog &log = tracer.threadLog();
     // Pop this span; an unbalanced stack (impossible with RAII use)
     // would self-heal by searching downward.
-    if (!log.stack.empty() && log.stack.back() == id_)
-        log.stack.pop_back();
+    if (stackTop() == id_)
+        tlsStack.pop_back();
     else
-        log.stack.erase(
-            std::remove(log.stack.begin(), log.stack.end(), id_),
-            log.stack.end());
-
-    TraceEvent ev;
-    ev.name = name_;
-    ev.id = id_;
-    ev.parent = parent_;
-    ev.tid = log.tid;
-    ev.startNs = nsSince(tracer.epoch(), start_);
-    ev.durNs = nsSince(tracer.epoch(), end) - ev.startNs;
-    ev.args = std::move(args_);
-    std::lock_guard lock(log.mu);
-    log.events.push_back(std::move(ev));
+        std::erase(tlsStack, id_);
+    Tracer::global().append({.name = name_,
+                             .id = id_,
+                             .parent = parent_,
+                             .args = std::move(args_)},
+                            start_, end);
     return seconds_;
 }
 
@@ -235,38 +179,22 @@ void Span::annotate(const std::string &key,
 void recordSpan(const std::string &name, SteadyTime start,
                 SteadyTime end, SpanContext parent)
 {
-    flight::recordAt(
-        end, flight::Kind::SpanEnd, name.c_str(), "",
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                end - start)
-                .count()));
+    recordFlightEnd(name, start, end);
     Tracer &tracer = Tracer::global();
     if (!tracer.enabled())
         return;
-    detail::ThreadLog &log = tracer.threadLog();
-    TraceEvent ev;
-    ev.name = name;
-    ev.id = tracer.nextId();
-    ev.parent = parent.id != 0
-                    ? parent.id
-                    : (log.stack.empty() ? 0 : log.stack.back());
-    ev.tid = log.tid;
-    ev.startNs = nsSince(tracer.epoch(), start);
-    ev.durNs = nsSince(tracer.epoch(), end) - ev.startNs;
-    if (ev.durNs < 0)
-        ev.durNs = 0;
-    std::lock_guard lock(log.mu);
-    log.events.push_back(std::move(ev));
+    tracer.append({.name = name,
+                   .id = tracer.nextId(),
+                   .parent = parent.id != 0 ? parent.id : stackTop(),
+                   .args = {}},
+                  start, end);
 }
 
 SpanContext currentSpan()
 {
-    Tracer &tracer = Tracer::global();
-    if (!tracer.enabled())
+    if (!Tracer::global().enabled())
         return {};
-    detail::ThreadLog &log = tracer.threadLog();
-    return {log.stack.empty() ? 0 : log.stack.back()};
+    return {stackTop()};
 }
 
 // ---- Job attribution ---------------------------------------------------

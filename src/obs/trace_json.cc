@@ -11,35 +11,6 @@ namespace reqisc::obs
 namespace
 {
 
-void appendEscaped(std::string &out, const std::string &s)
-{
-    for (const char ch : s)
-    {
-        switch (ch)
-        {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(ch) < 0x20)
-            {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(ch)));
-                out += buf;
-            }
-            else
-            {
-                out += ch;
-            }
-            break;
-        }
-    }
-}
-
 void appendMicros(std::string &out, std::int64_t ns)
 {
     // ns -> fractional µs with 3 decimals, exact (no doubles).
@@ -66,7 +37,7 @@ std::string chromeTraceJson(const std::vector<TraceEvent> &events)
             out += ",";
         first = false;
         out += "\n{\"name\":\"";
-        appendEscaped(out, ev.name);
+        detail::appendJsonEscaped(out, ev.name);
         out += "\",\"cat\":\"reqisc\",\"ph\":\"X\",\"ts\":";
         appendMicros(out, ev.startNs);
         out += ",\"dur\":";
@@ -80,15 +51,45 @@ std::string chromeTraceJson(const std::vector<TraceEvent> &events)
         for (const auto &[key, value] : ev.args)
         {
             out += ",\"";
-            appendEscaped(out, key);
+            detail::appendJsonEscaped(out, key);
             out += "\":\"";
-            appendEscaped(out, value);
+            detail::appendJsonEscaped(out, value);
             out += "\"";
         }
         out += "}}";
     }
     out += "\n],\"displayTimeUnit\":\"ms\"}\n";
     return out;
+}
+
+void detail::appendJsonEscaped(std::string &out,
+                               const std::string &s)
+{
+    static const char *hex = "0123456789abcdef";
+    for (const char ch : s)
+    {
+        const unsigned char c = static_cast<unsigned char>(ch);
+        switch (ch)
+        {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\r': out += "\\r"; break;
+        case '\t': out += "\\t"; break;
+        default:
+            if (c < 0x20)
+            {
+                out += "\\u00";
+                out += hex[c >> 4];
+                out += hex[c & 0xf];
+            }
+            else
+            {
+                out += ch;
+            }
+            break;
+        }
+    }
 }
 
 bool writeTextFile(const std::string &path,

@@ -4,10 +4,6 @@
  * in Perfetto (https://ui.perfetto.dev) or chrome://tracing, plus the
  * small file-writing helper the CLI uses for --trace-out /
  * --metrics-out.
- *
- * Note: src/obs is below src/backend in the dependency order, so this
- * carries its own minimal JSON string escaping instead of using
- * backend/json.hh.
  */
 
 #ifndef REQISC_OBS_TRACE_JSON_HH
@@ -36,6 +32,18 @@ std::string chromeTraceJson(const std::vector<TraceEvent> &events);
  */
 bool writeTextFile(const std::string &path,
                    const std::string &content, std::string &error);
+
+namespace detail
+{
+
+/**
+ * Append s as the body of a JSON string: `"` and `\` escaped,
+ * newline/tab/carriage return as \n \t \r, other control bytes as
+ * \u00XX. Shared by the trace and JSON-lines log exporters.
+ */
+void appendJsonEscaped(std::string &out, const std::string &s);
+
+} // namespace detail
 
 } // namespace reqisc::obs
 

@@ -4,9 +4,10 @@
  * severity filtering, rate limiting and the JSON-lines format; job
  * propagation into log records, spans and flight events (including
  * across BlockPool helper threads); ring wraparound eviction order;
- * multi-thread snapshot consistency (no torn events); the
- * job-failure dump of CompileService; and the fatal-signal dump
- * path, exercised in a death test.
+ * multi-thread snapshot consistency (no torn events); ring reuse
+ * under thread churn; one tid per thread across trace, log and
+ * flight dump; the job-failure dump of CompileService; and the
+ * fatal-signal dump path, exercised in a death test.
  */
 
 #include <gtest/gtest.h>
@@ -319,6 +320,74 @@ TEST(Flight, MultiThreadSnapshotHasNoTornEvents)
         for (std::size_t i = 1; i < vals.size(); ++i)
             EXPECT_EQ(vals[i], vals[i - 1] + 1.0);
     }
+}
+
+TEST(Flight, RingsOfExitedThreadsAreReusedOnceTheTableIsFull)
+{
+    namespace flight = obs::flight;
+    flight::clear();
+    const std::uint64_t dropped0 = flight::droppedThreadCount();
+    const int threads = int(flight::kMaxThreads) + 16;
+    // One at a time: each thread has exited before the next starts,
+    // so more threads than the table holds never run at once.
+    for (int i = 0; i < threads; ++i)
+        std::thread([i] {
+            flight::record(flight::Kind::Log, "churn", "", double(i));
+        }).join();
+    bool sawLast = false;
+    for (const flight::Event &e : flight::snapshotEvents())
+        if (std::string(e.name) == "churn" &&
+            e.value == double(threads - 1))
+            sawLast = true;
+    EXPECT_TRUE(sawLast) << "the last thread's event was dropped";
+    EXPECT_EQ(flight::droppedThreadCount(), dropped0);
+}
+
+TEST(Flight, TraceLogAndFlightShareOneTidPerThread)
+{
+    namespace flight = obs::flight;
+    LoggerGuard guard;
+    obs::Tracer &tracer = obs::Tracer::global();
+    tracer.clear();
+    tracer.setEnabled(true);
+    flight::clear();
+    // X logs but never traces, so per-exporter thread counters would
+    // drift apart before Y records.
+    std::thread([] {
+        obs::log(obs::LogLevel::Info, "tid", "x logs");
+    }).join();
+    std::thread([] {
+        {
+            obs::Span span("tid-y-span");
+        }
+        obs::log(obs::LogLevel::Info, "tid", "y logs");
+        flight::record(flight::Kind::Gauge, "tid-y-flight");
+    }).join();
+    tracer.setEnabled(false);
+
+    std::vector<std::uint32_t> traceTids, flightTids;
+    for (const obs::TraceEvent &ev : tracer.collect())
+        if (ev.name == "tid-y-span")
+            traceTids.push_back(ev.tid);
+    std::uint32_t xTid = 0, yTid = 0;
+    int logs = 0;
+    for (const obs::LogRecord &r : obs::Logger::global().collect())
+        if (r.component == "tid")
+        {
+            (r.message == "x logs" ? xTid : yTid) = r.tid;
+            ++logs;
+        }
+    for (const flight::Event &e : flight::snapshotEvents())
+        if (std::string(e.name) == "tid-y-flight")
+            flightTids.push_back(e.tid);
+    tracer.clear();
+
+    ASSERT_EQ(traceTids.size(), 1u);
+    ASSERT_EQ(flightTids.size(), 1u);
+    ASSERT_EQ(logs, 2);
+    EXPECT_EQ(traceTids[0], yTid);
+    EXPECT_EQ(flightTids[0], yTid);
+    EXPECT_NE(xTid, yTid);
 }
 
 TEST(Flight, SnapshotJsonIsSelfContainedAndParses)
