@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
+#include <string>
 
 #include "circuit/dag.hh"
 #include "weyl/su2.hh"
@@ -157,9 +159,29 @@ gateToCnotsAnalytic(int a, int b, const Matrix &u)
     return out;
 }
 
+std::string
+mcxAncillaError(const Circuit &c)
+{
+    for (std::size_t i = 0; i < c.size(); ++i) {
+        const Gate &g = c[i];
+        if (g.op != Op::MCX || g.numQubits() < 4)
+            continue;
+        const int need = g.numQubits() - 3;  // k - 2 for k controls
+        const int spare = c.numQubits() - g.numQubits();
+        if (spare < need)
+            return "gate " + std::to_string(i) + " (" + g.toString() +
+                   ") needs " + std::to_string(need) +
+                   " ancilla wire(s) it does not touch; the circuit "
+                   "has " + std::to_string(spare);
+    }
+    return "";
+}
+
 Circuit
 decomposeMcx(const Circuit &c)
 {
+    if (const std::string error = mcxAncillaError(c); !error.empty())
+        throw std::invalid_argument(error);
     Circuit out(c.numQubits());
     for (const Gate &g : c) {
         if (g.op != Op::MCX) {
@@ -185,8 +207,6 @@ decomposeMcx(const Circuit &c)
                         static_cast<int>(anc.size()) < k - 2; ++q)
             if (!used[q])
                 anc.push_back(q);
-        assert(static_cast<int>(anc.size()) == k - 2 &&
-               "MCX needs k-2 ancilla qubits");
         std::vector<Gate> compute;
         compute.push_back(
             Gate::ccx(g.qubits[0], g.qubits[1], anc[0]));

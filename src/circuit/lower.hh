@@ -12,16 +12,26 @@
 #ifndef REQISC_CIRCUIT_LOWER_HH
 #define REQISC_CIRCUIT_LOWER_HH
 
+#include <string>
+
 #include "circuit/circuit.hh"
 
 namespace reqisc::circuit
 {
 
 /**
+ * Why decomposeMcx cannot lower `c`, or "" when it can: an MCX with
+ * k >= 3 controls needs k - 2 wires of the circuit that the gate does
+ * not touch.
+ */
+std::string mcxAncillaError(const Circuit &c);
+
+/**
  * Rewrite every MCX with >= 3 controls into a clean-ancilla CCX
  * ladder. Ancillas are taken from qubits unused by the gate; the
- * caller guarantees enough idle (|0>) qubits exist, as the RevLib-
- * style benchmarks do.
+ * caller guarantees they are idle (|0>), as the RevLib-style
+ * benchmarks do. Throws std::invalid_argument (mcxAncillaError) when
+ * too few such wires exist.
  */
 Circuit decomposeMcx(const Circuit &c);
 

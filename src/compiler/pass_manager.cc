@@ -5,14 +5,12 @@
 #include <cstdlib>
 #include <map>
 #include <numeric>
-#include <stdexcept>
 #include <thread>
 
 #include "circuit/lower.hh"
 #include "compiler/passes.hh"
 #include "obs/span.hh"
 #include "route/sabre.hh"
-#include "synth/instantiate.hh"
 #include "synth/synthesis.hh"
 
 namespace reqisc::compiler
@@ -81,16 +79,6 @@ PassManager::add(std::unique_ptr<Pass> pass)
     passes_.push_back(std::move(pass));
 }
 
-std::vector<std::string>
-PassManager::passNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(passes_.size());
-    for (const auto &p : passes_)
-        names.push_back(p->name());
-    return names;
-}
-
 void
 PassManager::run(CompilationUnit &unit) const
 {
@@ -123,7 +111,7 @@ PassManager::run(CompilationUnit &unit) const
     }
 }
 
-// ---- The concrete passes -----------------------------------------------
+// ---- The pass table ----------------------------------------------------
 
 namespace
 {
@@ -131,243 +119,41 @@ namespace
 using circuit::Circuit;
 using circuit::Gate;
 using circuit::Op;
-using qmath::Matrix;
-
-/** Program-aware template synthesis (incl. the MCX pre-lowering). */
-class TemplateSynthPass final : public Pass
-{
-  public:
-    std::string name() const override { return "synth"; }
-    void run(CompilationUnit &u) override
-    {
-        u.circuit =
-            templateSynthesis(circuit::decomposeMcx(u.circuit));
-    }
-};
-
-class GroupPauliPass final : public Pass
-{
-  public:
-    std::string name() const override { return "group-pauli"; }
-    void run(CompilationUnit &u) override
-    {
-        u.circuit = groupPauliRotations(u.circuit);
-    }
-};
-
-class FusePass final : public Pass
-{
-  public:
-    std::string name() const override { return "fuse"; }
-    void run(CompilationUnit &u) override
-    {
-        u.circuit = fuse2QBlocks(fuse1Q(u.circuit));
-    }
-};
-
-class DagCompactPass final : public Pass
-{
-  public:
-    std::string name() const override { return "dag-compact"; }
-    void run(CompilationUnit &u) override
-    {
-        u.circuit = dagCompact(u.circuit);
-    }
-};
-
-/**
- * Hierarchical synthesis (ReQISC-Full's extra stage). The "nc"
- * variant is the Fig-14 ablation: partition + approximate
- * resynthesis with the DAG-compacting step skipped.
- */
-class HierarchicalSynthPass final : public Pass
-{
-  public:
-    explicit HierarchicalSynthPass(bool compacting)
-        : compacting_(compacting)
-    {
-    }
-
-    std::string name() const override
-    {
-        return compacting_ ? "hier-synth" : "hier-synth:nc";
-    }
-
-    void run(CompilationUnit &u) override
-    {
-        const CompileOptions &opts = u.options;
-        if (compacting_) {
-            u.circuit = hierarchicalSynthesis(
-                u.circuit, opts.mTh, opts.synthTol, opts.seed,
-                opts.synthMemo, opts.synthPool);
-            u.passNote =
-                "workers=" +
-                std::to_string(opts.synthPool
-                                   ? opts.synthPool->workers()
-                                   : 1);
-            return;
-        }
-        // Ablation variant (ReQISC-NC): skip the compacting pass but
-        // keep partition + approximate synthesis.
-        Circuit c = std::move(u.circuit);
-        std::vector<Partition3Q> blocks = partition3Q(c);
-        Circuit nc(c.numQubits());
-        for (const auto &b : blocks)
-            for (const Gate &g : b.gates)
-                nc.add(g);
-        c = std::move(nc);
-        Circuit out(c.numQubits());
-        for (const auto &b : partition3Q(c)) {
-            if (b.count2Q <= opts.mTh || b.qubits.size() < 3) {
-                for (const Gate &g : b.gates)
-                    out.add(g);
-                continue;
-            }
-            Matrix unitary = Matrix::identity(8);
-            auto local = [&](const Gate &g) {
-                std::vector<int> idx;
-                for (int q : g.qubits)
-                    idx.push_back(static_cast<int>(
-                        std::find(b.qubits.begin(), b.qubits.end(),
-                                  q) -
-                        b.qubits.begin()));
-                return idx;
-            };
-            for (const Gate &g : b.gates)
-                unitary =
-                    synth::liftGate(g.matrix(), local(g), 3) *
-                    unitary;
-            synth::SynthesisOptions sopts;
-            sopts.tol = opts.synthTol;
-            sopts.maxBlocks = std::min(7, b.count2Q - 1);
-            sopts.descending = true;
-            sopts.seed = opts.seed;
-            sopts.memo = opts.synthMemo;
-            synth::SynthesisResult r =
-                synth::synthesizeBlock(unitary, b.qubits, sopts);
-            if (r.success &&
-                static_cast<int>(r.blockCount) < b.count2Q) {
-                for (const Gate &g : r.gates)
-                    out.add(g);
-            } else {
-                for (const Gate &g : b.gates)
-                    out.add(g);
-            }
-        }
-        u.circuit = fuse2QBlocks(fuse1Q(out));
-    }
-
-  private:
-    bool compacting_;
-};
-
-class MirrorPass final : public Pass
-{
-  public:
-    std::string name() const override { return "mirror"; }
-    void run(CompilationUnit &u) override
-    {
-        u.circuit = mirrorNearIdentity(u.circuit,
-                                       u.finalPermutation,
-                                       u.options.mirrorThreshold);
-    }
-};
-
-/** Variational fixed-basis re-expression (Section 5.3.1). */
-class VariationalRebasePass final : public Pass
-{
-  public:
-    std::string name() const override { return "rebase"; }
-    void run(CompilationUnit &u) override
-    {
-        Circuit fixed(u.circuit.numQubits());
-        for (const Gate &g : u.circuit) {
-            if (g.is2Q() && (g.op == Op::U4 || g.op == Op::CAN)) {
-                auto gates = synth::su4ToFixedBasis(
-                    g.qubits[0], g.qubits[1], g.matrix(),
-                    u.options.variationalBasis);
-                if (!gates.empty()) {
-                    for (Gate &e : gates)
-                        fixed.add(std::move(e));
-                    continue;
-                }
-            }
-            fixed.add(g);
-        }
-        u.circuit = std::move(fixed);
-    }
-};
-
-class LowerPass final : public Pass
-{
-  public:
-    std::string name() const override { return "lower"; }
-    void run(CompilationUnit &u) override
-    {
-        u.circuit = circuit::expandToCanU3(u.circuit);
-    }
-};
 
 /**
  * Mirroring-SABRE onto the backend topology; SWAPs are fused into
  * Can gates (SU(4)-ISA convention: one SWAP = one Can). No-op
  * without a backend (there is no topology to route onto).
  */
-class SabreRoutePass final : public Pass
+void
+runRoute(CompilationUnit &u, const std::string &)
 {
-  public:
-    std::string name() const override { return "route"; }
-    void run(CompilationUnit &u) override
-    {
-        if (!u.backend)
-            return;
-        route::RouteOptions ropts;
-        ropts.mirroring = true;
-        ropts.seed = u.options.seed;
-        const route::RouteResult rr = route::sabreRoute(
-            u.circuit, u.backend->topology(), ropts);
-        Circuit phys(rr.circuit.numQubits());
-        for (const Gate &g : rr.circuit) {
-            if (g.op == Op::SWAP)
-                phys.add(Gate::can(g.qubits[0], g.qubits[1],
-                                   weyl::WeylCoord::swap()));
-            else
-                phys.add(g);
-        }
-        u.metrics.backend.used = true;
-        u.metrics.backend.routedSwaps = rr.swapsInserted;
-        u.metrics.backend.routedSwapsAbsorbed = rr.swapsAbsorbed;
-        // Logical q -> compiled wire -> physical wire.
-        u.finalLayout.resize(u.finalPermutation.size());
-        for (std::size_t q = 0; q < u.finalPermutation.size(); ++q)
-            u.finalLayout[q] = rr.finalLayout[static_cast<
-                std::size_t>(u.finalPermutation[q])];
-        u.routed = std::move(phys);
-        u.hasRouted = true;
+    if (!u.backend)
+        return;
+    route::RouteOptions ropts;
+    ropts.mirroring = true;
+    ropts.seed = u.options.seed;
+    const route::RouteResult rr =
+        route::sabreRoute(u.circuit, u.backend->topology(), ropts);
+    Circuit phys(rr.circuit.numQubits());
+    for (const Gate &g : rr.circuit) {
+        if (g.op == Op::SWAP)
+            phys.add(Gate::can(g.qubits[0], g.qubits[1],
+                               weyl::WeylCoord::swap()));
+        else
+            phys.add(g);
     }
-};
-
-/**
- * Score the routed circuit under the per-edge reconfigured gate-set
- * table vs the best uniform one. No-op until a backend and a routed
- * artifact exist.
- */
-class ReconfigurePass final : public Pass
-{
-  public:
-    std::string name() const override { return "reconfigure"; }
-    void run(CompilationUnit &u) override
-    {
-        if (!u.backend || !u.reconfig || !u.hasRouted)
-            return;
-        u.metrics.backend.fidelityReconfigured =
-            backend::estimateFidelity(u.routed, *u.backend,
-                                      u.reconfig->table);
-        u.metrics.backend.fidelityUniform =
-            backend::estimateFidelity(u.routed, *u.backend,
-                                      u.reconfig->uniformTable);
-    }
-};
+    u.metrics.backend.used = true;
+    u.metrics.backend.routedSwaps = rr.swapsInserted;
+    u.metrics.backend.routedSwapsAbsorbed = rr.swapsAbsorbed;
+    // Logical q -> compiled wire -> physical wire.
+    u.finalLayout.resize(u.finalPermutation.size());
+    for (std::size_t q = 0; q < u.finalPermutation.size(); ++q)
+        u.finalLayout[q] = rr.finalLayout[static_cast<std::size_t>(
+            u.finalPermutation[q])];
+    u.routed = std::move(phys);
+    u.hasRouted = true;
+}
 
 /**
  * Evaluate the circuit-level metrics (#2Q, Depth2Q, duration,
@@ -375,118 +161,173 @@ class ReconfigurePass final : public Pass
  * the backend's per-edge duration model once it exists, the logical
  * circuit under the genAshN model of `coupling` otherwise.
  */
-class EstimateFidelityPass final : public Pass
+void
+runEstimate(CompilationUnit &u, const std::string &)
+{
+    Metrics m;
+    if (u.backend && u.hasRouted) {
+        const isa::DurationModel durations =
+            u.backend->durationModel();
+        m = evaluate(u.routed, [&durations](const Gate &g) {
+            return g.numQubits() < 2 ? 0.0 : durations.gate(g);
+        });
+    } else {
+        m = evaluate(u.circuit, reqiscDurationModel(u.coupling));
+    }
+    u.metrics.count2Q = m.count2Q;
+    u.metrics.depth2Q = m.depth2Q;
+    u.metrics.duration = m.duration;
+    u.metrics.distinctSU4 = m.distinctSU4;
+}
+
+/** Lower into a timed RQISA program; `arg` overrides the strategy. */
+void
+runSchedule(CompilationUnit &u, const std::string &arg)
+{
+    isa::ScheduleOptions sopts = u.scheduleOptions;
+    if (!arg.empty())
+        isa::strategyFromName(arg, sopts.strategy);  // validated
+    if (u.backend && u.hasRouted) {
+        sopts.durations = u.backend->durationModel();
+        sopts.topology = &u.backend->topology();
+        u.program = isa::schedule(u.routed, sopts);
+    } else {
+        sopts.durations.coupling = u.coupling;
+        u.program = isa::schedule(u.circuit, sopts);
+    }
+    u.metrics.schedule = u.program.stats();
+    u.hasProgram = true;
+}
+
+/** Variational fixed-basis re-expression (Section 5.3.1). */
+void
+runRebase(CompilationUnit &u, const std::string &)
+{
+    Circuit fixed(u.circuit.numQubits());
+    for (const Gate &g : u.circuit) {
+        if (g.is2Q() && (g.op == Op::U4 || g.op == Op::CAN)) {
+            auto gates = synth::su4ToFixedBasis(
+                g.qubits[0], g.qubits[1], g.matrix(),
+                kVariationalBasis);
+            if (!gates.empty()) {
+                for (Gate &e : gates)
+                    fixed.add(std::move(e));
+                continue;
+            }
+        }
+        fixed.add(g);
+    }
+    u.circuit = std::move(fixed);
+}
+
+/** A registry row bound to its token's argument. */
+class RegisteredPass : public Pass
 {
   public:
-    std::string name() const override { return "estimate"; }
-    void run(CompilationUnit &u) override
-    {
-        Metrics m;
-        if (u.backend && u.hasRouted) {
-            const isa::DurationModel durations =
-                u.backend->durationModel();
-            m = evaluate(u.routed,
-                         [&durations](const Gate &g) {
-                             return g.numQubits() < 2
-                                        ? 0.0
-                                        : durations.gate(g);
-                         });
-        } else {
-            m = evaluate(u.circuit,
-                         reqiscDurationModel(u.coupling));
-        }
-        u.metrics.count2Q = m.count2Q;
-        u.metrics.depth2Q = m.depth2Q;
-        u.metrics.duration = m.duration;
-        u.metrics.distinctSU4 = m.distinctSU4;
-    }
-};
-
-/** Lower into a timed RQISA program (isa::schedule). */
-class SchedulePass final : public Pass
-{
-  public:
-    explicit SchedulePass(isa::Strategy strategy, bool override_strat)
-        : strategy_(strategy), override_(override_strat)
+    RegisteredPass(const PassInfo &info, std::string token,
+                   std::string arg)
+        : info_(info), token_(std::move(token)), arg_(std::move(arg))
     {
     }
 
-    std::string name() const override
-    {
-        return override_
-                   ? std::string("schedule:") +
-                         isa::strategyName(strategy_)
-                   : "schedule";
-    }
-
-    void run(CompilationUnit &u) override
-    {
-        isa::ScheduleOptions sopts = u.scheduleOptions;
-        if (override_)
-            sopts.strategy = strategy_;
-        if (u.backend && u.hasRouted) {
-            sopts.durations = u.backend->durationModel();
-            sopts.topology = &u.backend->topology();
-            u.program = isa::schedule(u.routed, sopts);
-        } else {
-            sopts.durations.coupling = u.coupling;
-            u.program = isa::schedule(u.circuit, sopts);
-        }
-        u.metrics.schedule = u.program.stats();
-        u.hasProgram = true;
-    }
+    std::string name() const override { return token_; }
+    void run(CompilationUnit &unit) override { info_.run(unit, arg_); }
 
   private:
-    isa::Strategy strategy_;
-    bool override_;
+    const PassInfo &info_;
+    std::string token_;
+    std::string arg_;
 };
 
 } // namespace
 
-// ---- Registry and spec parsing -----------------------------------------
-
 const std::vector<PassInfo> &
 passRegistry()
 {
+    using Arg = const std::string &;
     static const std::vector<PassInfo> registry = {
         {"synth",
          "program-aware template synthesis (incl. MCX lowering)",
-         {}},
+         {},
+         [](CompilationUnit &u, Arg) {
+             u.circuit =
+                 templateSynthesis(circuit::decomposeMcx(u.circuit));
+         }},
         {"group-pauli",
          "commutation-aware 2Q Pauli-rotation grouping",
-         {}},
+         {},
+         [](CompilationUnit &u, Arg) {
+             u.circuit = groupPauliRotations(u.circuit);
+         }},
         {"fuse", "greedy 1Q fusion + same-pair SU(4) block fusion",
-         {}},
+         {},
+         [](CompilationUnit &u, Arg) {
+             u.circuit = fuse2QBlocks(fuse1Q(u.circuit));
+         }},
         {"dag-compact",
          "commutation-aware DAG compaction (Section 5.1.3)",
-         {}},
+         {},
+         [](CompilationUnit &u, Arg) {
+             u.circuit = dagCompact(u.circuit);
+         }},
         {"hier-synth",
          "DAG compacting + 3Q partition + approximate resynthesis; "
          ":nc skips the compacting step (Fig 14 ablation)",
-         {"nc"}},
+         {"nc"},
+         [](CompilationUnit &u, Arg arg) {
+             const CompileOptions &o = u.options;
+             u.circuit = hierarchicalSynthesis(
+                 u.circuit, o.mTh, o.synthTol, o.seed, o.synthMemo,
+                 o.synthPool, arg != "nc");
+             u.passNote = "workers=" +
+                          std::to_string(o.synthPool
+                                             ? o.synthPool->workers()
+                                             : 1);
+         }},
         {"mirror",
          "near-identity gate mirroring with tracked permutation",
-         {}},
+         {},
+         [](CompilationUnit &u, Arg) {
+             u.circuit = mirrorNearIdentity(
+                 u.circuit, u.finalPermutation, kMirrorThreshold);
+         }},
         {"rebase",
          "variational fixed-basis re-expression (Section 5.3.1)",
-         {}},
-        {"lower", "expand to the {Can, U3} normal form", {}},
+         {},
+         runRebase},
+        {"lower", "expand to the {Can, U3} normal form", {},
+         [](CompilationUnit &u, Arg) {
+             u.circuit = circuit::expandToCanU3(u.circuit);
+         }},
         {"route",
          "mirroring-SABRE onto the backend topology (SWAP -> Can); "
          "no-op without a backend",
-         {}},
+         {},
+         runRoute},
         {"reconfigure",
          "score routed circuit: per-edge reconfigured vs uniform "
          "gate set; no-op until routed",
-         {}},
+         {},
+         [](CompilationUnit &u, Arg) {
+             if (!u.backend || !u.reconfig || !u.hasRouted)
+                 return;
+             u.metrics.backend.fidelityReconfigured =
+                 backend::estimateFidelity(u.routed, *u.backend,
+                                           u.reconfig->table);
+             u.metrics.backend.fidelityUniform =
+                 backend::estimateFidelity(u.routed, *u.backend,
+                                           u.reconfig->uniformTable);
+         }},
         {"schedule",
          "lower into a timed RQISA program; :serial/:asap/:alap "
          "overrides the strategy",
-         {"serial", "asap", "alap"}},
+         {"serial", "asap", "alap"},
+         runSchedule},
         {"estimate",
          "evaluate #2Q / depth / duration / distinct-SU(4) of the "
          "active artifact",
-         {}},
+         {},
+         runEstimate},
     };
     return registry;
 }
@@ -496,13 +337,12 @@ namespace
 
 /** Split "name[:arg]"; find the registry row; validate the arg. */
 const PassInfo *
-resolveToken(const std::string &token, std::string &name,
-             std::string &arg, std::string &error)
+resolveToken(const std::string &token, std::string &arg,
+             std::string &error)
 {
     const auto colon = token.find(':');
-    name = token.substr(0, colon);
-    arg = colon == std::string::npos ? ""
-                                     : token.substr(colon + 1);
+    const std::string name = token.substr(0, colon);
+    arg = colon == std::string::npos ? "" : token.substr(colon + 1);
     if (colon != std::string::npos && arg.empty()) {
         // "hier-synth:" must not silently mean "hier-synth": a
         // dangling colon is almost always a truncated argument.
@@ -530,42 +370,12 @@ resolveToken(const std::string &token, std::string &name,
 std::unique_ptr<Pass>
 makePass(const std::string &token, std::string &error)
 {
-    std::string name, arg;
-    if (!resolveToken(token, name, arg, error))
+    std::string arg;
+    const PassInfo *info = resolveToken(token, arg, error);
+    if (!info)
         return nullptr;
-    if (name == "synth")
-        return std::make_unique<TemplateSynthPass>();
-    if (name == "group-pauli")
-        return std::make_unique<GroupPauliPass>();
-    if (name == "fuse")
-        return std::make_unique<FusePass>();
-    if (name == "dag-compact")
-        return std::make_unique<DagCompactPass>();
-    if (name == "hier-synth")
-        return std::make_unique<HierarchicalSynthPass>(
-            arg != "nc");
-    if (name == "mirror")
-        return std::make_unique<MirrorPass>();
-    if (name == "rebase")
-        return std::make_unique<VariationalRebasePass>();
-    if (name == "lower")
-        return std::make_unique<LowerPass>();
-    if (name == "route")
-        return std::make_unique<SabreRoutePass>();
-    if (name == "reconfigure")
-        return std::make_unique<ReconfigurePass>();
-    if (name == "schedule") {
-        isa::Strategy strat = isa::Strategy::Asap;
-        const bool override_strat = !arg.empty();
-        if (override_strat)
-            isa::strategyFromName(arg, strat);  // arg validated above
-        return std::make_unique<SchedulePass>(strat,
-                                              override_strat);
-    }
-    if (name == "estimate")
-        return std::make_unique<EstimateFidelityPass>();
-    error = "unknown pass '" + name + "'";  // unreachable
-    return nullptr;
+    return std::make_unique<RegisteredPass>(*info, token,
+                                            std::move(arg));
 }
 
 bool
@@ -602,8 +412,8 @@ parsePipelineSpec(const std::string &text, PipelineSpec &out,
                     "'";
             return false;
         }
-        std::string name, arg;
-        if (!resolveToken(token, name, arg, error))
+        std::string arg;
+        if (!resolveToken(token, arg, error))
             return false;
         tokens.push_back(token);
         if (comma == std::string::npos)

@@ -8,9 +8,11 @@
  * circuit, tracked permutation, routed circuit + final layout, timed
  * isa::Program, Metrics — together with the immutable compile
  * context (options, target backend, coupling, schedule options).
- * Passes are first-class objects (`Pass`: name() + run(unit)) and a
- * PassManager runs a declarative list of them, recording wall time
- * and artifact deltas into a per-pass Metrics::passes trace.
+ * Every pass is one row of passRegistry() (token, summary, accepted
+ * arguments, body); makePass binds a row to a spec token as a `Pass`
+ * (name() + run(unit)), and a PassManager runs a declarative list of
+ * them, recording wall time and artifact deltas into a per-pass
+ * Metrics::passes trace.
  *
  * The three former pipeline wirings all route through here:
  * compiler::reqiscEff / reqiscFull are thin wrappers over the named
@@ -114,12 +116,12 @@ struct CompilationUnit
                                     CompileOptions opts = {});
 };
 
-/** A first-class compilation stage. */
+/** A compilation stage: makePass binds a passRegistry() row. */
 class Pass
 {
   public:
     virtual ~Pass() = default;
-    /** Registry token, echoed into PassTrace::pass. */
+    /** Registry token ("schedule:alap"), echoed into PassTrace::pass. */
     virtual std::string name() const = 0;
     virtual void run(CompilationUnit &unit) = 0;
 };
@@ -129,9 +131,6 @@ class PassManager
 {
   public:
     void add(std::unique_ptr<Pass> pass);
-
-    std::size_t size() const { return passes_.size(); }
-    std::vector<std::string> passNames() const;
 
     /**
      * Run every pass in order. Each pass appends one PassTrace to
@@ -144,16 +143,18 @@ class PassManager
     std::vector<std::unique_ptr<Pass>> passes_;
 };
 
-/** A registered pass, for --list-passes and spec validation. */
+/** A registered pass: its spec token, listing, arguments and body. */
 struct PassInfo
 {
     std::string token;    //!< spec name ("synth", "schedule", ...)
     std::string summary;  //!< one-line description
     /** Accepted ":arg" values; empty when the pass takes none. */
     std::vector<std::string> args;
+    /** The pass body; `arg` is "" or one of `args`. */
+    void (*run)(CompilationUnit &unit, const std::string &arg);
 };
 
-/** All registered passes, in canonical listing order. */
+/** The pass table: every registered pass, in listing order. */
 const std::vector<PassInfo> &passRegistry();
 
 /**

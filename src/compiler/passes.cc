@@ -247,6 +247,27 @@ blocksToCircuit(const std::vector<Partition3Q> &blocks,
     return out;
 }
 
+std::vector<int>
+localIndices(const Gate &g, const std::vector<int> &wires)
+{
+    std::vector<int> idx;
+    for (int q : g.qubits)
+        idx.push_back(static_cast<int>(
+            std::find(wires.begin(), wires.end(), q) - wires.begin()));
+    return idx;
+}
+
+Matrix
+blockUnitary(const Partition3Q &b)
+{
+    const int n = static_cast<int>(b.qubits.size());
+    Matrix u = Matrix::identity(1 << n);
+    for (const Gate &g : b.gates)
+        u = synth::liftGate(g.matrix(), localIndices(g, b.qubits), n) *
+            u;
+    return u;
+}
+
 int
 compactnessScore(const Circuit &c)
 {
@@ -330,23 +351,15 @@ dagCompact(const Circuit &input, double tol)
                 if (std::find(uq.begin(), uq.end(), q) == uq.end())
                     uq.push_back(q);
             std::sort(uq.begin(), uq.end());
-            auto local = [&](const Gate &g) {
-                std::vector<int> idx;
-                for (int q : g.qubits)
-                    idx.push_back(static_cast<int>(
-                        std::find(uq.begin(), uq.end(), q) -
-                        uq.begin()));
-                return idx;
-            };
-            const Matrix m1 = synth::liftGate(g1.matrix(), local(g1),
-                                              3);
-            const Matrix m2 = synth::liftGate(g2.matrix(), local(g2),
-                                              3);
+            const std::vector<int> l1 = localIndices(g1, uq);
+            const std::vector<int> l2 = localIndices(g2, uq);
+            const Matrix m1 = synth::liftGate(g1.matrix(), l1, 3);
+            const Matrix m2 = synth::liftGate(g2.matrix(), l2, 3);
             const Matrix joint = m2 * m1;   // g1 first
             // Reversed order: g2' first, then g1'.
             std::vector<synth::Slot> slots = {
-                synth::Slot::free2Q(local(g2)[0], local(g2)[1]),
-                synth::Slot::free2Q(local(g1)[0], local(g1)[1]),
+                synth::Slot::free2Q(l2[0], l2[1]),
+                synth::Slot::free2Q(l1[0], l1[1]),
             };
             synth::InstantiateOptions iopts;
             iopts.tol = tol;
@@ -375,11 +388,13 @@ dagCompact(const Circuit &input, double tol)
 Circuit
 hierarchicalSynthesis(const Circuit &input, int m_th, double tol,
                       unsigned seed, synth::BlockMemo *memo,
-                      synth::BlockPool *pool)
+                      synth::BlockPool *pool, bool dag_compacting)
 {
-    Circuit fused = fuse2QBlocks(fuse1Q(input));
-    Circuit compacted = dagCompact(fused);
-    std::vector<Partition3Q> blocks = partition3Q(compacted);
+    const Circuit prepared =
+        dag_compacting
+            ? dagCompact(fuse2QBlocks(fuse1Q(input)))
+            : blocksToCircuit(partition3Q(input), input.numQubits());
+    std::vector<Partition3Q> blocks = partition3Q(prepared);
 
     // Collect the resynthesis targets first: each solve is a pure
     // function of (target unitary, options), independent of every
@@ -398,25 +413,13 @@ hierarchicalSynthesis(const Circuit &input, int m_th, double tol,
         const auto &b = blocks[bi];
         if (b.count2Q <= m_th || b.qubits.size() < 3)
             continue;
-        // Build the block's 8x8 unitary in local indices.
-        Matrix u = Matrix::identity(8);
-        auto local = [&](const Gate &g) {
-            std::vector<int> idx;
-            for (int q : g.qubits)
-                idx.push_back(static_cast<int>(
-                    std::find(b.qubits.begin(), b.qubits.end(), q) -
-                    b.qubits.begin()));
-            return idx;
-        };
-        for (const Gate &g : b.gates)
-            u = synth::liftGate(g.matrix(), local(g), 3) * u;
         synth::SynthesisOptions opts;
         opts.tol = tol;
         opts.maxBlocks = std::min(7, b.count2Q - 1);
         opts.descending = true;
         opts.seed = seed;
         opts.memo = memo;
-        targets.push_back(Target{bi, std::move(u), opts});
+        targets.push_back(Target{bi, blockUnitary(b), opts});
     }
 
     std::vector<synth::SynthesisResult> results(targets.size());

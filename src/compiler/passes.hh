@@ -10,7 +10,8 @@
  * groupPauliRotations (phase-gadget grouping), partition3Q (DAG-order
  * 3-qubit blocking), dagCompact (commutation-aware compaction,
  * Section 5.2.1) and hierarchicalSynthesis (compacting + partition +
- * approximate re-synthesis, the ReQISC-Full extra pass).
+ * approximate re-synthesis, the ReQISC-Full extra pass). Every 3Q
+ * re-synthesis caller builds its target through blockUnitary.
  */
 
 #ifndef REQISC_COMPILER_PASSES_HH
@@ -59,6 +60,16 @@ std::vector<Partition3Q> partition3Q(const Circuit &c);
 Circuit blocksToCircuit(const std::vector<Partition3Q> &blocks,
                         int num_qubits);
 
+/** Position of each of g's qubits within `wires`. */
+std::vector<int> localIndices(const Gate &g,
+                              const std::vector<int> &wires);
+
+/**
+ * The block's unitary over its own qubits (b.qubits[0] = most
+ * significant), accumulated gate by gate as u = lift(g) * u.
+ */
+Matrix blockUnitary(const Partition3Q &b);
+
 /**
  * Compactness score of a 2Q-gate sequence: the sum over consecutive
  * multi-qubit gates of 0 (same pair), 1 (pairs sharing a qubit) or 2
@@ -84,6 +95,11 @@ Circuit dagCompact(const Circuit &c, double tol = 1e-9);
  * instantiation (deterministic per call); `memo` optionally shares
  * block-synthesis results across calls/circuits (service layer).
  *
+ * `dag_compacting` picks the step before partitioning: fuse and
+ * DAG-compact the input (ReQISC-Full), or, for the Fig-14 ablation,
+ * partition the input as it stands and re-partition the flattened
+ * blocks, with no fusion.
+ *
  * `pool` optionally fans the independent block solves out across a
  * shared synth::BlockPool. Results are collected into per-block
  * slots and emitted in block order, so the output gate stream is
@@ -93,7 +109,8 @@ Circuit hierarchicalSynthesis(const Circuit &c, int m_th = 4,
                               double tol = 1e-9,
                               unsigned seed = 777,
                               synth::BlockMemo *memo = nullptr,
-                              synth::BlockPool *pool = nullptr);
+                              synth::BlockPool *pool = nullptr,
+                              bool dag_compacting = true);
 
 /**
  * Near-identity gate mirroring (Section 4.3). Every 2Q gate whose

@@ -20,11 +20,15 @@
 namespace reqisc::compiler
 {
 
+/** Weyl-coordinate L1 radius below which `mirror` mirrors a gate. */
+inline constexpr double kMirrorThreshold = 0.1;
+/** The fixed 2Q basis gate of variational mode (`rebase`). */
+inline constexpr circuit::Op kVariationalBasis = circuit::Op::SQISW;
+
 /** Pipeline configuration knobs. */
 struct CompileOptions
 {
     bool applyMirroring = true;  //!< near-identity gate mirroring
-    double mirrorThreshold = 0.1;
     int mTh = 4;                 //!< hierarchical-synthesis threshold
     double synthTol = 1e-9;      //!< approximate-synthesis precision
     bool dagCompacting = true;   //!< ablation switch (Fig 14)
@@ -57,7 +61,6 @@ struct CompileOptions
      * calibration set (the PMW-protocol trade-off).
      */
     bool variationalMode = false;
-    circuit::Op variationalBasis = circuit::Op::SQISW;
 };
 
 /** A compiled program: {Can, U3} circuit + tracked output wiring. */

@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -35,6 +36,7 @@
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "service/api.hh"
+#include "service/cli_flags.hh"
 #include "service/error.hh"
 
 #ifndef REQISC_VERSION
@@ -119,6 +121,29 @@ parseArgs(int argc, char **argv, DaemonCli &cli)
         }
         return argv[++i];
     };
+    auto intValue = [&](int &i, long long lo, long long hi, auto &out) {
+        const std::string flag = argv[i];
+        const char *v = value(i);
+        if (!v)
+            return false;
+        std::string error;
+        if (service::parseIntFlag(flag, v, lo, hi, out, error))
+            return true;
+        std::cerr << "reqisc-compiled: " << error << "\n";
+        return false;
+    };
+    auto realValue = [&](int &i, double &out) {
+        const std::string flag = argv[i];
+        const char *v = value(i);
+        if (!v)
+            return false;
+        std::string error;
+        if (service::parseNonNegativeFlag(flag, v, out, error))
+            return true;
+        std::cerr << "reqisc-compiled: " << error << "\n";
+        return false;
+    };
+    constexpr long long kMaxCount = std::numeric_limits<long long>::max();
     cli.opts.http.port = 8788;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -135,25 +160,21 @@ parseArgs(int argc, char **argv, DaemonCli &cli)
                 return false;
             cli.opts.http.host = v;
         } else if (arg == "--port") {
-            const char *v = value(i);
-            if (!v)
+            if (!intValue(i, 0, 65535, cli.opts.http.port))
                 return false;
-            cli.opts.http.port = std::atoi(v);
         } else if (arg == "--port-file") {
             const char *v = value(i);
             if (!v)
                 return false;
             cli.portFile = v;
         } else if (arg == "--jobs") {
-            const char *v = value(i);
-            if (!v)
+            if (!intValue(i, 0, service::kMaxThreadsFlag,
+                          cli.opts.service.threads))
                 return false;
-            cli.opts.service.threads = std::atoi(v);
         } else if (arg == "--block-workers") {
-            const char *v = value(i);
-            if (!v)
+            if (!intValue(i, 0, service::kMaxThreadsFlag,
+                          cli.opts.service.blockWorkers))
                 return false;
-            cli.opts.service.blockWorkers = std::atoi(v);
         } else if (arg == "--cache-dir") {
             const char *v = value(i);
             if (!v)
@@ -165,38 +186,24 @@ parseArgs(int argc, char **argv, DaemonCli &cli)
                 return false;
             cli.backendPath = v;
         } else if (arg == "--max-queue") {
-            const char *v = value(i);
-            if (!v)
+            if (!intValue(i, 0, kMaxCount, cli.opts.maxQueue))
                 return false;
-            cli.opts.maxQueue =
-                static_cast<std::size_t>(std::atol(v));
         } else if (arg == "--quota-rate") {
-            const char *v = value(i);
-            if (!v)
+            if (!realValue(i, cli.opts.quotaRate))
                 return false;
-            cli.opts.quotaRate = std::atof(v);
         } else if (arg == "--quota-burst") {
-            const char *v = value(i);
-            if (!v)
+            if (!realValue(i, cli.opts.quotaBurst))
                 return false;
-            cli.opts.quotaBurst = std::atof(v);
         } else if (arg == "--max-finished") {
-            const char *v = value(i);
-            if (!v)
+            if (!intValue(i, 0, kMaxCount, cli.opts.maxFinished))
                 return false;
-            cli.opts.maxFinished =
-                static_cast<std::size_t>(std::atol(v));
         } else if (arg == "--max-body") {
-            const char *v = value(i);
-            if (!v)
+            if (!intValue(i, 0, kMaxCount, cli.opts.http.maxBodyBytes))
                 return false;
-            cli.opts.http.maxBodyBytes =
-                static_cast<std::size_t>(std::atol(v));
         } else if (arg == "--http-threads") {
-            const char *v = value(i);
-            if (!v)
+            if (!intValue(i, 1, service::kMaxThreadsFlag,
+                          cli.opts.http.handlerThreads))
                 return false;
-            cli.opts.http.handlerThreads = std::atoi(v);
         } else if (arg == "--flight-dump") {
             const char *v = value(i);
             if (!v)

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <type_traits>
 
+#include "obs/log.hh"
 #include "obs/span.hh"
 #include "obs/thread_buffers.hh"
 
@@ -373,13 +374,6 @@ void putEscaped(Sink sink, void *ctx, const char *s)
     }
 }
 
-const char *levelNameFor(std::uint8_t level)
-{
-    static const char *const names[] = {"debug", "info", "warn",
-                                        "error"};
-    return level < 4 ? names[level] : "unknown";
-}
-
 void serializeEvents(const Event *evs, std::size_t n,
                      const char *trigger, int signo, Sink sink,
                      void *ctx)
@@ -413,7 +407,8 @@ void serializeEvents(const Event *evs, std::size_t n,
         if (static_cast<Kind>(e.kind) == Kind::Log)
         {
             put(sink, ctx, ",\"level\":\"");
-            put(sink, ctx, levelNameFor(e.level));
+            put(sink, ctx,
+                logLevelName(static_cast<LogLevel>(e.level)));
             put(sink, ctx, "\"");
         }
         put(sink, ctx, ",\"name\":\"");

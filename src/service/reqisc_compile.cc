@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -37,6 +38,7 @@
 #include "obs/obs.hh"
 #include "obs/trace_json.hh"
 #include "service/api.hh"
+#include "service/cli_flags.hh"
 #include "service/error.hh"
 #include "service/service.hh"
 #include "suite/suite.hh"
@@ -49,6 +51,9 @@ namespace
 {
 
 using namespace reqisc;
+
+/** Upper bound of --repeat (each copy is one more retained job). */
+constexpr long long kMaxRepeat = 100000;
 
 struct CliOptions
 {
@@ -201,6 +206,17 @@ parseArgs(int argc, char **argv, CliOptions &cli)
         }
         return argv[++i];
     };
+    auto intValue = [&](int &i, long long lo, long long hi, auto &out) {
+        const std::string flag = argv[i];
+        const char *v = value(i);
+        if (!v)
+            return false;
+        std::string error;
+        if (service::parseIntFlag(flag, v, lo, hi, out, error))
+            return true;
+        std::cerr << "reqisc-compile: " << error << "\n";
+        return false;
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
@@ -226,25 +242,20 @@ parseArgs(int argc, char **argv, CliOptions &cli)
             printPassList(std::cout);
             std::exit(0);
         } else if (arg == "--jobs") {
-            const char *v = value(i);
-            if (!v)
+            if (!intValue(i, 0, service::kMaxThreadsFlag, cli.jobs))
                 return false;
-            cli.jobs = std::atoi(v);
         } else if (arg == "--block-workers") {
-            const char *v = value(i);
-            if (!v)
+            if (!intValue(i, 0, service::kMaxThreadsFlag,
+                          cli.blockWorkers))
                 return false;
-            cli.blockWorkers = std::atoi(v);
         } else if (arg == "--cache-dir") {
             const char *v = value(i);
             if (!v)
                 return false;
             cli.cacheDir = v;
         } else if (arg == "--repeat") {
-            const char *v = value(i);
-            if (!v)
+            if (!intValue(i, 1, kMaxRepeat, cli.repeat))
                 return false;
-            cli.repeat = std::max(1, std::atoi(v));
         } else if (arg == "--suite") {
             const char *v = value(i);
             if (!v)
@@ -261,10 +272,9 @@ parseArgs(int argc, char **argv, CliOptions &cli)
                 return false;
             cli.backendPath = v;
         } else if (arg == "--seed") {
-            const char *v = value(i);
-            if (!v)
+            if (!intValue(i, 0, std::numeric_limits<unsigned>::max(),
+                          cli.seed))
                 return false;
-            cli.seed = static_cast<unsigned>(std::atol(v));
         } else if (arg == "--variational") {
             cli.variational = true;
         } else if (arg == "--no-cache") {

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <system_error>
 
+#include "circuit/lower.hh"
 #include "circuit/qasm.hh"
 #include "compiler/pass_manager.hh"
 #include "obs/obs.hh"
@@ -179,7 +180,7 @@ CompileService::CompileService(ServiceOptions opts)
         synthCache_ = std::make_unique<SynthCache>();
     if (pulse_cache)
         pulseCache_ = std::make_unique<PulseCache>(
-            opts_.coupling, opts_.pulseClusterTol);
+            opts_.coupling, kPulseClusterTol);
     if (!opts_.cacheDir.empty()) {
         if (synthCache_)
             synthLoaded_ = synthCache_->load(
@@ -433,6 +434,11 @@ CompileService::runJob(const Job &job)
                         "gate " + std::to_string(i) + " (" +
                             input[i].toString() +
                             ") has a non-finite parameter"));
+        // The MCX lowering borrows wires the gate does not touch: a
+        // register too narrow for that is this job's error too.
+        if (const std::string mcx = circuit::mcxAncillaError(input);
+            !mcx.empty())
+            throw ApiException(makeError(errc::kBadRequest, mcx));
         // Routing assumes the circuit fits the chip: reject a wider
         // one as this job's error instead.
         if (opts_.backend &&
@@ -540,7 +546,7 @@ CompileService::runJob(const Job &job)
                 const uarch::CalibrationPlan plan =
                     uarch::planCalibration(
                         res.compiled.circuit, opts_.coupling,
-                        opts_.pulseClusterTol,
+                        kPulseClusterTol,
                         pulseCache_ ? &pulseMemo : nullptr);
                 res.unsolvedClasses = plan.unsolved;
             } catch (const std::exception &e) {

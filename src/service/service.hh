@@ -58,6 +58,12 @@
 namespace reqisc::service
 {
 
+/**
+ * SU(4)-class clustering tolerance of the service's calibration plans
+ * and of its pulse cache; the two must agree.
+ */
+inline constexpr double kPulseClusterTol = 1e-6;
+
 /** Service-wide configuration (fixed at construction). */
 struct ServiceOptions
 {
@@ -71,8 +77,6 @@ struct ServiceOptions
     bool enableCaches = true;
     /** Target hardware: duration model, pulse solves, calibration. */
     uarch::Coupling coupling = uarch::Coupling::xy(1.0);
-    /** SU(4)-class clustering tolerance (calibration + pulse cache). */
-    double pulseClusterTol = 1e-6;
     /**
      * Intra-job block-resynthesis workers for hier-synth: 1 solves
      * blocks serially (no pool), N > 1 creates one synth::BlockPool

@@ -180,6 +180,27 @@ TEST(DaemonProtocol, RejectsMalformedAndInvalidBodies)
               service::errc::kParseError);
 }
 
+TEST(DaemonProtocol, McxWithoutAncillaWiresFailsAsABadRequestJob)
+{
+    // One POST of an MCX too wide for its register must fail as that
+    // job's bad-request error, not take the daemon down with it.
+    Daemon dm(baseOptions());
+    const int p = dm.port();
+    const std::uint64_t bad = submit(
+        p, jobBody("qreg q[4];\nmcx q[0],q[1],q[2],q[3];\n", "eff"));
+    EXPECT_EQ(awaitFinal(p, bad), "failed");
+    const auto res = http(p, "GET", "/v1/jobs/" + std::to_string(bad) +
+                                        "/result");
+    EXPECT_EQ(res.status, 200);
+    const JsonValue doc = parseJson(res.body, "result");
+    EXPECT_FALSE(doc.find("ok")->boolean);
+    EXPECT_EQ(service::api::errorFromJson(*doc.find("error")).code,
+              service::errc::kBadRequest);
+
+    const std::uint64_t good = submit(p, jobBody(suiteQasm(), "eff"));
+    EXPECT_EQ(awaitFinal(p, good), "done");
+}
+
 TEST(DaemonProtocol, OversizedBodyIs413)
 {
     daemon::DaemonOptions opts = baseOptions();

@@ -86,7 +86,7 @@ TEST_P(EndToEnd, CompiledGatesAreNotNearIdentity)
     for (const Gate &g : r.circuit) {
         if (g.is2Q()) {
             EXPECT_GT(g.weylCoord().norm1(),
-                      opts.mirrorThreshold - 1e-9)
+                      compiler::kMirrorThreshold - 1e-9)
                 << bm().name << " " << g.toString();
         }
     }

@@ -18,6 +18,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "backend/json.hh"
@@ -397,6 +398,17 @@ TEST(Flight, SnapshotJsonIsSelfContainedAndParses)
     flight::record(flight::Kind::Log, "esc",
                    "quote \" backslash \\ done", 0.0,
                    int(obs::LogLevel::Error));
+    // The dump spells every level by its log wire name; a level byte
+    // outside the enum reads "unknown".
+    const std::vector<std::pair<int, std::string>> levels = {
+        {int(obs::LogLevel::Debug), "debug"},
+        {int(obs::LogLevel::Info), "info"},
+        {int(obs::LogLevel::Warn), "warn"},
+        {int(obs::LogLevel::Error), "error"},
+        {7, "unknown"}};
+    for (const auto &[level, name] : levels)
+        flight::record(flight::Kind::Log, "lvl", name.c_str(), 0.0,
+                       level);
     const std::string json = flight::snapshotJson("unit-test");
     const backend::JsonValue doc =
         backend::parseJson(json, "flight");
@@ -420,6 +432,14 @@ TEST(Flight, SnapshotJsonIsSelfContainedAndParses)
                       "quote \" backslash \\ done");
         }
     EXPECT_TRUE(found);
+    std::size_t levelEvents = 0;
+    for (const backend::JsonValue &e : events->array)
+        if (e.find("name")->str == "lvl")
+        {
+            ++levelEvents;
+            EXPECT_EQ(e.find("level")->str, e.find("detail")->str);
+        }
+    EXPECT_EQ(levelEvents, levels.size());
 }
 
 TEST(Flight, JobFailureWritesADumpWithTheFailingJobsContext)

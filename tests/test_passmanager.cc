@@ -123,14 +123,14 @@ legacyFinish(Circuit c, const CompileOptions &opts)
         perm[q] = q;
     if (opts.applyMirroring && !opts.variationalMode)
         c = compiler::mirrorNearIdentity(c, perm,
-                                         opts.mirrorThreshold);
+                                         compiler::kMirrorThreshold);
     if (opts.variationalMode) {
         Circuit fixed(c.numQubits());
         for (const Gate &g : c) {
             if (g.is2Q() && (g.op == Op::U4 || g.op == Op::CAN)) {
                 auto gates = synth::su4ToFixedBasis(
                     g.qubits[0], g.qubits[1], g.matrix(),
-                    opts.variationalBasis);
+                    compiler::kVariationalBasis);
                 if (!gates.empty()) {
                     for (Gate &e : gates)
                         fixed.add(std::move(e));
@@ -568,15 +568,18 @@ TEST(PipelineSpec, RejectsMalformedSpecs)
 
 TEST(PipelineSpec, EveryRegistryTokenInstantiates)
 {
+    // Every token and every token:arg makes a pass named exactly that
+    // token (the name PassTrace and the per-pass metrics report).
     for (const compiler::PassInfo &info : compiler::passRegistry()) {
-        std::string error;
-        EXPECT_NE(compiler::makePass(info.token, error), nullptr)
-            << info.token << ": " << error;
+        std::vector<std::string> tokens = {info.token};
         for (const std::string &arg : info.args)
-            EXPECT_NE(compiler::makePass(info.token + ":" + arg,
-                                         error),
-                      nullptr)
-                << info.token << ":" << arg << ": " << error;
+            tokens.push_back(info.token + ":" + arg);
+        for (const std::string &token : tokens) {
+            std::string error;
+            const auto pass = compiler::makePass(token, error);
+            ASSERT_NE(pass, nullptr) << token << ": " << error;
+            EXPECT_EQ(pass->name(), token);
+        }
     }
     std::string error;
     EXPECT_EQ(compiler::makePass("bogus", error), nullptr);
@@ -729,32 +732,38 @@ TEST(ParallelHierSynth, BitIdenticalAtEveryWorkerCountOnEveryExample)
     // synth::BlockPool when CompileOptions::synthPool is set; the
     // compiled artifacts must be bit-identical to the serial path at
     // every worker count, with and without a shared memo.
+    // dagCompacting=false runs the same fan-out through hier-synth:nc.
     for (const std::string &rel : kExampleQasm) {
-        const Circuit input = loadExample(rel);
-        const CompileOptions opts;
-        const CompileResult serial =
-            compiler::reqiscFull(input, opts);
+        for (const bool compacting : {true, false}) {
+            const Circuit input = loadExample(rel);
+            CompileOptions opts;
+            opts.dagCompacting = compacting;
+            const CompileResult serial =
+                compiler::reqiscFull(input, opts);
+            const std::string what =
+                rel + (compacting ? "" : " (nc)");
 
-        for (int workers : {2, 4}) {
-            synth::BlockPool pool(workers - 1);
+            for (int workers : {2, 4}) {
+                synth::BlockPool pool(workers - 1);
+                CompileOptions par = opts;
+                par.synthPool = &pool;
+                expectSameCompile(
+                    compiler::reqiscFull(input, par), serial,
+                    what + " workers=" + std::to_string(workers));
+            }
+
+            // Pool + shared cache together (the service configuration):
+            // two runs (cold then warm) both match the serial oracle.
+            synth::BlockPool pool(3);
+            service::SynthCache cache;
             CompileOptions par = opts;
             par.synthPool = &pool;
-            expectSameCompile(
-                compiler::reqiscFull(input, par), serial,
-                rel + " workers=" + std::to_string(workers));
+            par.synthMemo = &cache;
+            expectSameCompile(compiler::reqiscFull(input, par), serial,
+                              what + " pool+memo cold");
+            expectSameCompile(compiler::reqiscFull(input, par), serial,
+                              what + " pool+memo warm");
         }
-
-        // Pool + shared cache together (the service configuration):
-        // two runs (cold then warm) both match the serial oracle.
-        synth::BlockPool pool(3);
-        service::SynthCache cache;
-        CompileOptions par = opts;
-        par.synthPool = &pool;
-        par.synthMemo = &cache;
-        expectSameCompile(compiler::reqiscFull(input, par), serial,
-                          rel + " pool+memo cold");
-        expectSameCompile(compiler::reqiscFull(input, par), serial,
-                          rel + " pool+memo warm");
     }
 }
 
@@ -762,26 +771,31 @@ TEST(ParallelHierSynth, TraceNoteReportsWorkerCount)
 {
     const Circuit input = loadExample(kExampleQasm[1]);  // qft4
     synth::BlockPool pool(3);
-    CompileOptions opts;
-    opts.synthPool = &pool;
-    CompilationUnit unit = CompilationUnit::forInput(input, opts);
-    PassManager pm;
-    std::string error;
-    PipelineSpec spec;
-    spec.kind = PipelineSpec::Kind::Custom;
-    spec.passes =
-        compiler::compilePassList(PipelineSpec::Kind::Full, opts);
-    ASSERT_TRUE(compiler::buildPipeline(spec, opts, pm, error))
-        << error;
-    pm.run(unit);
-    bool saw_hier_synth = false;
-    for (const compiler::PassTrace &t : unit.metrics.passes) {
-        if (t.pass == "hier-synth") {
-            saw_hier_synth = true;
-            EXPECT_EQ(t.note, "workers=4");
-        } else {
-            EXPECT_TRUE(t.note.empty()) << t.pass;
+    for (const bool compacting : {true, false}) {
+        CompileOptions opts;
+        opts.synthPool = &pool;
+        opts.dagCompacting = compacting;
+        const std::string hier = compacting ? "hier-synth"
+                                            : "hier-synth:nc";
+        CompilationUnit unit = CompilationUnit::forInput(input, opts);
+        PassManager pm;
+        std::string error;
+        PipelineSpec spec;
+        spec.kind = PipelineSpec::Kind::Custom;
+        spec.passes =
+            compiler::compilePassList(PipelineSpec::Kind::Full, opts);
+        ASSERT_TRUE(compiler::buildPipeline(spec, opts, pm, error))
+            << error;
+        pm.run(unit);
+        bool saw_hier_synth = false;
+        for (const compiler::PassTrace &t : unit.metrics.passes) {
+            if (t.pass == hier) {
+                saw_hier_synth = true;
+                EXPECT_EQ(t.note, "workers=4");
+            } else {
+                EXPECT_TRUE(t.note.empty()) << t.pass;
+            }
         }
+        EXPECT_TRUE(saw_hier_synth) << hier;
     }
-    EXPECT_TRUE(saw_hier_synth);
 }

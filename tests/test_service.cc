@@ -25,6 +25,7 @@
 #include "compiler/pipeline.hh"
 #include "qsim/statevector.hh"
 #include "service/cache.hh"
+#include "service/cli_flags.hh"
 #include "service/service.hh"
 #include "synth/instantiate.hh"
 #include "suite/suite.hh"
@@ -570,6 +571,79 @@ TEST(CompileService, NonFiniteParametersAreABadRequest)
     good.qasm = "qreg q[2];\nu3(0.1,0.2,0.3) q[0];\ncx q[0],q[1];\n";
     const service::JobResult c = svc.wait(svc.submit(std::move(good)));
     EXPECT_TRUE(c.ok) << c.error;
+}
+
+TEST(CompileService, McxWithoutAncillaWiresIsABadRequest)
+{
+    // An MCX with k controls is lowered on k - 2 wires it does not
+    // touch. A register without them fails as that job's bad-request
+    // error (it used to index past the ancilla list and crash); the
+    // service keeps serving, and a register with room compiles.
+    const std::string narrow =
+        "qreg q[4];\nmcx q[0],q[1],q[2],q[3];\n";
+    EXPECT_THROW(circuit::decomposeMcx(circuit::fromQasm(narrow)),
+                 std::invalid_argument);
+
+    service::CompileService svc;
+    service::CompileRequest fromQasm;
+    fromQasm.name = "mcx-narrow";
+    fromQasm.qasm = narrow;
+    const service::JobResult a = svc.wait(svc.submit(std::move(fromQasm)));
+    EXPECT_FALSE(a.ok);
+    EXPECT_EQ(a.errorInfo.code, service::errc::kBadRequest);
+    EXPECT_NE(a.error.find("gate 0"), std::string::npos) << a.error;
+
+    service::CompileRequest programmatic;
+    programmatic.name = "mcx-6-on-6";
+    programmatic.input = Circuit(6);
+    programmatic.input.add(Gate::h(0));
+    programmatic.input.add(Gate::mcx({0, 1, 2, 3, 4}, 5));
+    const service::JobResult b =
+        svc.wait(svc.submit(std::move(programmatic)));
+    EXPECT_FALSE(b.ok);
+    EXPECT_EQ(b.errorInfo.code, service::errc::kBadRequest);
+    EXPECT_NE(b.error.find("gate 1"), std::string::npos) << b.error;
+
+    service::CompileRequest roomy;
+    roomy.name = "mcx-with-ancilla";
+    roomy.qasm = "qreg q[5];\nmcx q[0],q[1],q[2],q[3];\n";
+    const service::JobResult c = svc.wait(svc.submit(std::move(roomy)));
+    EXPECT_TRUE(c.ok) << c.error;
+}
+
+TEST(CliFlags, NumericValuesAreStrict)
+{
+    // The parsing behind reqisc-compile / reqisc-compiled numeric
+    // flags; the thread-count cap is checked here, where rejecting it
+    // starts no threads.
+    const long long cap = service::kMaxThreadsFlag;
+    int n = -1;
+    std::string error;
+    EXPECT_TRUE(service::parseIntFlag("--jobs", "4", 0, cap, n, error));
+    EXPECT_EQ(n, 4);
+    EXPECT_TRUE(service::parseIntFlag("--jobs", std::to_string(cap).c_str(),
+                                      0, cap, n, error));
+    EXPECT_EQ(n, cap);
+    const std::string over = std::to_string(cap + 1);
+    for (const char *bad : {"", "abc", "4x", " 4", "-1", over.c_str(),
+                            "99999999999999999999"}) {
+        error.clear();
+        EXPECT_FALSE(service::parseIntFlag("--jobs", bad, 0, cap, n, error))
+            << "'" << bad << "'";
+        EXPECT_NE(error.find("--jobs"), std::string::npos) << error;
+    }
+    EXPECT_EQ(n, cap);  // a rejected value leaves the target alone
+
+    double r = 0.0;
+    EXPECT_TRUE(service::parseNonNegativeFlag("--quota-rate", "2.5", r,
+                                              error));
+    EXPECT_EQ(r, 2.5);
+    for (const char *bad : {"", "fast", "2.5s", "-0.5", "nan", "inf",
+                            "1e999"})
+        EXPECT_FALSE(service::parseNonNegativeFlag("--quota-rate", bad, r,
+                                                   error))
+            << "'" << bad << "'";
+    EXPECT_EQ(r, 2.5);
 }
 
 TEST(CompileService, WaitSemantics)
