@@ -1,17 +1,16 @@
 /**
  * @file
- * Daemon benchmark: open-loop load against an in-process
- * reqisc-compiled (real HTTP over loopback — the socket loop, the
- * parser and the registry are all on the measured path).
+ * Daemon benchmark: load against an in-process reqisc-compiled (real
+ * HTTP over loopback — the socket loop, the parser and the registry
+ * are all on the measured path).
  *
  * Two phases:
- *  1. Poisson arrivals below capacity — a calibration compile sets
- *     the offered rate to ~60% of measured capacity, then jobs
- *     arrive on an exponential clock regardless of completions
- *     (open-loop, so queueing delay is visible, not hidden by
- *     back-pressure). Reports submit-to-done p50/p99 latency and
- *     throughput; every accepted job must complete
- *     (daemonCompletedOk).
+ *  1. A back-to-back batch — every job is submitted first, then
+ *     each is awaited, so the queue is as deep as the batch. Reports
+ *     submit-to-done p50/p99 latency; every accepted job must
+ *     complete (daemonCompletedOk). Open-loop throughput against a
+ *     Poisson generator is perfbench's daemon-warm workload
+ *     (capacity_jps), not this bench's.
  *  2. Overload — a daemon with --max-queue 1 and a deliberately
  *     slowed full pipeline (REQISC_PASS_DELAY_MS on hier-synth, so
  *     phase 1's eff jobs are unaffected) takes a back-to-back
@@ -26,7 +25,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -145,7 +143,7 @@ main(int argc, char **argv)
     const std::string qasm =
         circuit::toQasm(suite::smallSuite().front().circuit);
 
-    // ---- Phase 1: Poisson arrivals below capacity ---------------------
+    // ---- Phase 1: a back-to-back batch --------------------------------
     daemon::DaemonOptions dopts;
     dopts.service.threads = 1;
     dopts.http.port = 0;
@@ -159,65 +157,39 @@ main(int argc, char **argv)
     Endpoint ep;
     ep.port = d.port();
 
-    // Calibrate: one synchronous job measures end-to-end service
-    // time; offer ~60% of that capacity.
-    double serviceSeconds;
+    struct Submitted
     {
-        const auto t0 = Clock::now();
-        int status = 0;
-        const std::uint64_t id =
-            submitJob(ep, jobBody(qasm, "eff", 0), status);
-        if (id == 0 || !awaitJob(ep, id)) {
-            std::fprintf(stderr,
-                         "bench_daemon: calibration job failed "
-                         "(status %d)\n",
-                         status);
-            return 1;
-        }
-        serviceSeconds = std::chrono::duration<double>(
-                             Clock::now() - t0)
-                             .count();
-    }
-    const double offeredRate =
-        0.6 / std::max(serviceSeconds, 1e-4);
-
-    std::mt19937 rng(opt.seed);
-    std::exponential_distribution<double> interArrival(offeredRate);
-    std::vector<double> latencies;
-    int accepted = 0, completed = 0;
-    const auto start = Clock::now();
-    auto nextArrival = start;
+        std::uint64_t id;
+        Clock::time_point at;
+    };
+    std::vector<Submitted> submitted;
     for (int i = 0; i < jobsTotal; ++i) {
-        nextArrival += std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(interArrival(rng)));
-        std::this_thread::sleep_until(nextArrival);
         int status = 0;
+        const auto at = Clock::now();
         const std::uint64_t id =
-            submitJob(ep, jobBody(qasm, "eff", i + 1), status);
-        if (id == 0)
-            continue;
-        ++accepted;
-        // FIFO service at 1 worker: awaiting in submission order
-        // observes each completion promptly. Open-loop pacing is
-        // preserved by charging the next arrival to the schedule,
-        // not to now().
-        if (awaitJob(ep, id)) {
-            ++completed;
-            latencies.push_back(
-                std::chrono::duration<double>(Clock::now() -
-                                              nextArrival)
-                    .count());
-        }
+            submitJob(ep, jobBody(qasm, "eff", i), status);
+        if (id != 0)
+            submitted.push_back({id, at});
     }
-    const double wall =
-        std::chrono::duration<double>(Clock::now() - start).count();
+    // FIFO service at 1 worker: awaiting in submission order
+    // observes each completion promptly.
+    std::vector<double> latencies;
+    int completed = 0;
+    for (const Submitted &job : submitted) {
+        if (!awaitJob(ep, job.id))
+            continue;
+        ++completed;
+        latencies.push_back(
+            std::chrono::duration<double>(Clock::now() - job.at)
+                .count());
+    }
+    const int accepted = static_cast<int>(submitted.size());
     d.beginDrain();
     d.waitDrained();
     d.stop();
 
     const double completedOk =
         accepted ? static_cast<double>(completed) / accepted : 0.0;
-    const double throughput = wall > 0.0 ? completed / wall : 0.0;
     const double p50 = quantile(latencies, 0.50);
     const double p99 = quantile(latencies, 0.99);
 
@@ -260,16 +232,12 @@ main(int argc, char **argv)
     if (opt.json) {
         backend::JsonValue doc = backend::JsonValue::makeObject();
         doc.set("jobs", backend::JsonValue::makeNumber(jobsTotal));
-        doc.set("offeredRate",
-                backend::JsonValue::makeNumber(offeredRate));
         doc.set("accepted",
                 backend::JsonValue::makeNumber(accepted));
         doc.set("completed",
                 backend::JsonValue::makeNumber(completed));
         doc.set("daemonCompletedOk",
                 backend::JsonValue::makeNumber(completedOk));
-        doc.set("daemonThroughput",
-                backend::JsonValue::makeNumber(throughput));
         doc.set("p50LatencySeconds",
                 backend::JsonValue::makeNumber(p50));
         doc.set("p99LatencySeconds",
@@ -284,12 +252,10 @@ main(int argc, char **argv)
         return 0;
     }
 
-    Table tbl("Daemon: open-loop Poisson load (eff pipeline, "
-              "1 worker, loopback HTTP)",
-              {"offered/s", "jobs", "completed", "thru/s",
-               "p50 ms", "p99 ms"});
-    tbl.addRow({fmt(offeredRate, 1), std::to_string(jobsTotal),
-                std::to_string(completed), fmt(throughput, 1),
+    Table tbl("Daemon: back-to-back batch (eff pipeline, 1 worker, "
+              "loopback HTTP)",
+              {"jobs", "completed", "p50 ms", "p99 ms"});
+    tbl.addRow({std::to_string(jobsTotal), std::to_string(completed),
                 fmt(1e3 * p50, 2), fmt(1e3 * p99, 2)});
     tbl.print(opt.csv);
 

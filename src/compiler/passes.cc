@@ -388,7 +388,7 @@ dagCompact(const Circuit &input, double tol)
 Circuit
 hierarchicalSynthesis(const Circuit &input, int m_th, double tol,
                       unsigned seed, synth::BlockMemo *memo,
-                      synth::BlockPool *pool, bool dag_compacting)
+                      util::WorkerPool *pool, bool dag_compacting)
 {
     const Circuit prepared =
         dag_compacting
@@ -398,7 +398,7 @@ hierarchicalSynthesis(const Circuit &input, int m_th, double tol,
 
     // Collect the resynthesis targets first: each solve is a pure
     // function of (target unitary, options), independent of every
-    // other block, so the set can fan out across a shared BlockPool.
+    // other block, so the set can fan out across a shared WorkerPool.
     // Results land in index-addressed slots and are stitched back in
     // block order below — the emitted gate stream is bit-identical
     // to the serial path at every worker count.
@@ -428,7 +428,7 @@ hierarchicalSynthesis(const Circuit &input, int m_th, double tol,
             targets[t].u, blocks[targets[t].block].qubits,
             targets[t].opts);
     };
-    if (pool && pool->helperThreads() > 0 && targets.size() > 1) {
+    if (pool && pool->threads() > 0 && targets.size() > 1) {
         std::vector<std::function<void()>> tasks;
         tasks.reserve(targets.size());
         for (std::size_t t = 0; t < targets.size(); ++t)

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "circuit/circuit.hh"
-#include "synth/pool.hh"
+#include "util/pool.hh"
 #include "synth/synthesis.hh"
 
 namespace reqisc::compiler
@@ -101,7 +101,7 @@ Circuit dagCompact(const Circuit &c, double tol = 1e-9);
  * blocks, with no fusion.
  *
  * `pool` optionally fans the independent block solves out across a
- * shared synth::BlockPool. Results are collected into per-block
+ * shared util::WorkerPool. Results are collected into per-block
  * slots and emitted in block order, so the output gate stream is
  * bit-identical to the serial path at every worker count.
  */
@@ -109,7 +109,7 @@ Circuit hierarchicalSynthesis(const Circuit &c, int m_th = 4,
                               double tol = 1e-9,
                               unsigned seed = 777,
                               synth::BlockMemo *memo = nullptr,
-                              synth::BlockPool *pool = nullptr,
+                              util::WorkerPool *pool = nullptr,
                               bool dag_compacting = true);
 
 /**

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "circuit/circuit.hh"
-#include "synth/pool.hh"
+#include "util/pool.hh"
 #include "synth/synthesis.hh"
 
 namespace reqisc::compiler
@@ -49,11 +49,11 @@ struct CompileOptions
     /**
      * Optional shared task pool for intra-job parallel block
      * resynthesis inside hier-synth (the service layer installs its
-     * BlockPool here). Results are bit-identical to the serial path
+     * block pool here). Results are bit-identical to the serial path
      * at every worker count — see hierarchicalSynthesis; nullptr
      * solves blocks serially.
      */
-    synth::BlockPool *synthPool = nullptr;
+    util::WorkerPool *synthPool = nullptr;
     /**
      * Variational-program mode (Section 5.3.1): re-express every
      * SU(4) over one fixed 2Q basis gate plus parameterized 1Q

@@ -145,39 +145,25 @@ HttpServer::start(std::string &error)
                       &len) == 0)
         port_ = ntohs(bound.sin_port);
     stopping_.store(false);
+    pool_ = std::make_unique<util::WorkerPool>(
+        std::max(1, opts_.handlerThreads));
     acceptThread_ = std::thread([this] { acceptLoop(); });
-    const int n = std::max(1, opts_.handlerThreads);
-    handlers_.reserve(n);
-    for (int i = 0; i < n; ++i)
-        handlers_.emplace_back([this] { handlerLoop(); });
-    started_ = true;
     return true;
 }
 
 void
 HttpServer::stop()
 {
-    if (!started_)
-        return;
+    if (!pool_)
+        return;  // never started, or already stopped
     stopping_.store(true);
-    cv_.notify_all();
     if (acceptThread_.joinable())
         acceptThread_.join();
-    for (std::thread &t : handlers_)
-        if (t.joinable())
-            t.join();
-    handlers_.clear();
+    pool_.reset();  // serves every accepted connection, then joins
     if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
     }
-    // Close connections accepted but never picked up by a handler.
-    for (auto &[fd, peer] : conns_) {
-        (void)peer;
-        ::close(fd);
-    }
-    conns_.clear();
-    started_ = false;
 }
 
 void
@@ -202,33 +188,10 @@ HttpServer::acceptLoop()
         ::inet_ntop(AF_INET, &peer.sin_addr, ip, sizeof(ip));
         std::string who =
             std::string(ip) + ":" + std::to_string(ntohs(peer.sin_port));
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            conns_.emplace_back(fd, std::move(who));
-        }
-        cv_.notify_one();
-    }
-}
-
-void
-HttpServer::handlerLoop()
-{
-    for (;;) {
-        int fd = -1;
-        std::string peer;
-        {
-            std::unique_lock<std::mutex> lk(mu_);
-            cv_.wait(lk, [this] {
-                return stopping_.load() || !conns_.empty();
-            });
-            if (conns_.empty())
-                return;  // stopping and nothing left to serve
-            fd = conns_.front().first;
-            peer = std::move(conns_.front().second);
-            conns_.pop_front();
-        }
-        serveConnection(fd, peer);
-        ::close(fd);
+        pool_->post([this, fd, who = std::move(who)] {
+            serveConnection(fd, who);
+            ::close(fd);
+        });
     }
 }
 

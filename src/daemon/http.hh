@@ -5,12 +5,13 @@
  * the container build must not grow third-party dependencies.
  *
  * Model: one listener thread accepts connections (poll with a short
- * timeout so stop() is prompt) and hands the sockets to a fixed pool
- * of handler threads; each connection carries exactly one request
- * (every response says `Connection: close`). That trades keep-alive
- * throughput for a server with no connection state machine — the
- * right trade for a compile daemon whose requests are milliseconds
- * of framing around seconds of compilation.
+ * timeout so stop() is prompt) and posts each socket to a fixed pool
+ * of handler threads (a util::WorkerPool); each connection carries
+ * exactly one request (every response says `Connection: close`).
+ * That trades keep-alive throughput for a server with no connection
+ * state machine — the right trade for a compile daemon whose
+ * requests are milliseconds of framing around seconds of
+ * compilation.
  *
  * Protocol support is exactly what the daemon's clients need:
  * request line + headers + Content-Length body, `Expect:
@@ -24,15 +25,15 @@
 #define REQISC_DAEMON_HTTP_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include "util/pool.hh"
 
 namespace reqisc::daemon
 {
@@ -106,14 +107,13 @@ class HttpServer
     int port() const { return port_; }
 
     /**
-     * Stop accepting, finish requests already being handled, join
+     * Stop accepting, serve every connection already accepted, join
      * all threads. Idempotent.
      */
     void stop();
 
   private:
     void acceptLoop();
-    void handlerLoop();
     void serveConnection(int fd, const std::string &peer);
     void sendResponse(int fd, const HttpResponse &res);
     HttpResponse makeError(int status, const std::string &message);
@@ -124,13 +124,10 @@ class HttpServer
     int listenFd_ = -1;
     int port_ = 0;
     std::atomic<bool> stopping_{false};
-    std::thread acceptThread_;
-    std::vector<std::thread> handlers_;
-    std::mutex mu_;
-    std::condition_variable cv_;
-    /** Accepted sockets waiting for a handler: {fd, peer}. */
-    std::deque<std::pair<int, std::string>> conns_;
-    bool started_ = false;
+    /** Handler threads, each accepted socket one posted task; null
+     *  while the server is not running. */
+    std::unique_ptr<util::WorkerPool> pool_;
+    std::thread acceptThread_;  //!< posts to pool_
 };
 
 /** A client-side response (see httpRequest). */

@@ -76,7 +76,6 @@ struct LogRecord
 class Logger
 {
   public:
-    Logger() = default;
     Logger(const Logger &) = delete;
     Logger &operator=(const Logger &) = delete;
 
@@ -128,6 +127,8 @@ class Logger
     void clear();
 
   private:
+    Logger() = default;  //!< only global() constructs one
+
     friend void log(LogLevel, const std::string &,
                     const std::string &, LogFields);
 

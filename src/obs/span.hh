@@ -8,7 +8,7 @@
  * outlives the thread so no events are lost. Opening a Span
  * allocates a process-unique id, parents it on the thread's innermost
  * live span (or an explicit SpanContext for cross-thread links, e.g.
- * BlockPool tasks parented on the job span that enqueued them) and
+ * block tasks parented on the job span that enqueued them) and
  * pushes it on the thread's span stack; stop()/destruction pops the
  * stack and appends one completed TraceEvent. Timestamps are
  * std::chrono::steady_clock nanoseconds relative to the tracer's
@@ -61,7 +61,6 @@ struct TraceEvent
 class Tracer
 {
   public:
-    Tracer();
     Tracer(const Tracer &) = delete;
     Tracer &operator=(const Tracer &) = delete;
 
@@ -89,6 +88,8 @@ class Tracer
     SteadyTime epoch() const { return epoch_; }
 
   private:
+    Tracer();  //!< only global() constructs one
+
     friend class Span;
     friend void recordSpan(const std::string &, SteadyTime,
                            SteadyTime, SpanContext);
@@ -181,10 +182,10 @@ const char *currentJobName();
 /**
  * RAII job attribution scope: everything this thread records between
  * construction and destruction (spans, log records, flight events —
- * and, via BlockPool's capture, block tasks fanned out to helper
- * threads) carries this job name. Scopes nest; the previous name is
- * restored on destruction. Names longer than the flight-event job
- * field (31 chars) are truncated consistently everywhere.
+ * and, via util::WorkerPool::run's capture, block tasks fanned out
+ * to pool threads) carries this job name. Scopes nest; the previous
+ * name is restored on destruction. Names longer than the flight-event
+ * job field (31 chars) are truncated consistently everywhere.
  */
 class JobScope
 {

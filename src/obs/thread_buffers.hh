@@ -86,21 +86,19 @@ class ThreadBuffers
         std::vector<Record> records;
     };
 
+    /** This thread's buffer. The thread_local is per Record type,
+     *  which is sound because each type has one instance (the
+     *  singleton Tracer's and Logger's). */
     Buffer &local()
     {
-        thread_local struct
+        thread_local std::shared_ptr<Buffer> mine;
+        if (!mine)
         {
-            ThreadBuffers *owner = nullptr;
-            std::shared_ptr<Buffer> buf;
-        } mine;
-        if (mine.owner != this)
-        {
-            mine.owner = this;
-            mine.buf = std::make_shared<Buffer>();
+            mine = std::make_shared<Buffer>();
             std::lock_guard lock(mu_);
-            buffers_.push_back(mine.buf);
+            buffers_.push_back(mine);
         }
-        return *mine.buf;
+        return *mine;
     }
 
     std::mutex mu_;  //!< guards buffers_

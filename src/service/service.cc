@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <stdexcept>
 #include <system_error>
+#include <thread>
 
 #include "circuit/lower.hh"
 #include "circuit/qasm.hh"
@@ -55,7 +56,7 @@ ServiceMetrics &serviceMetrics()
  * hit/miss *split* depends on what other jobs populated first; the
  * compiled artifacts do not (see the determinism contract).
  *
- * The block memo is consulted from BlockPool workers when intra-job
+ * The block memo is consulted from block-pool threads when intra-job
  * parallel resynthesis is on, so its counters take a (cheap) lock.
  */
 class CountingBlockMemo final : public synth::BlockMemo
@@ -152,10 +153,10 @@ joinPath(const std::string &dir, const char *file)
 CompileService::CompileService(ServiceOptions opts)
     : opts_(opts)
 {
-    threads_ = opts_.threads;
-    if (threads_ <= 0) {
+    int threads = opts_.threads;
+    if (threads <= 0) {
         const unsigned hw = std::thread::hardware_concurrency();
-        threads_ = hw ? static_cast<int>(hw) : 1;
+        threads = hw ? static_cast<int>(hw) : 1;
     }
     bool pulse_cache = opts_.enableCaches;
     if (opts_.backend) {
@@ -190,36 +191,36 @@ CompileService::CompileService(ServiceOptions opts)
                 joinPath(opts_.cacheDir, kPulseCacheFile));
     }
     // One pool shared by every job keeps the total thread count at
-    // threads_ + helpers regardless of how many jobs are in flight.
+    // threads + helpers regardless of how many jobs are in flight.
     int block_workers = opts_.blockWorkers;
     if (block_workers <= 0) {
         const unsigned hw = std::thread::hardware_concurrency();
         block_workers = std::max(
-            1, static_cast<int>(hw ? hw : 1) - threads_ + 1);
+            1, static_cast<int>(hw ? hw : 1) - threads + 1);
     }
-    if (block_workers > 1)
+    if (block_workers > 1) {
         blockPool_ =
-            std::make_unique<synth::BlockPool>(block_workers - 1);
+            std::make_unique<util::WorkerPool>(block_workers - 1);
+        obs::Registry::global()
+            .gauge("reqisc_blockpool_workers",
+                   "Executors a batch can use at once (helper "
+                   "threads + the joining caller)")
+            ->set(blockPool_->workers());
+        obs::log(obs::LogLevel::Info, "blockpool", "pool started",
+                 {{"helpers", std::to_string(blockPool_->threads())}});
+    }
     obs::log(obs::LogLevel::Info, "service", "service started",
-             {{"threads", std::to_string(threads_)},
+             {{"threads", std::to_string(threads)},
               {"blockWorkers", std::to_string(block_workers)},
               {"synthCache", synthCache_ ? "on" : "off"},
               {"pulseCache", pulseCache_ ? "on" : "off"},
               {"cacheDir", opts_.cacheDir}});
-    workers_.reserve(threads_);
-    for (int i = 0; i < threads_; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    jobPool_ = std::make_unique<util::WorkerPool>(threads);
 }
 
 CompileService::~CompileService()
 {
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        stopping_ = true;
-    }
-    workCv_.notify_all();
-    for (std::thread &t : workers_)
-        t.join();
+    jobPool_.reset();  // runs every queued job, then joins
     if (!opts_.cacheDir.empty())
         saveCaches();  // best effort; failure leaves old files intact
 }
@@ -250,19 +251,9 @@ CompileService::saveCaches() const
 std::uint64_t
 CompileService::submit(CompileRequest req)
 {
-    std::uint64_t id;
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        id = nextId_++;
-        queue_.push_back(Job{id, std::move(req),
-                             std::chrono::steady_clock::now()});
-        pending_.insert(id);
-        ++inFlight_;
-        serviceMetrics().jobsInflight->set(
-            static_cast<double>(inFlight_));
-    }
-    workCv_.notify_one();
-    return id;
+    std::vector<CompileRequest> one;
+    one.push_back(std::move(req));
+    return submitBatch(std::move(one)).front();
 }
 
 std::vector<std::uint64_t>
@@ -275,7 +266,7 @@ CompileService::submitBatch(std::vector<CompileRequest> reqs)
         const auto now = std::chrono::steady_clock::now();
         for (CompileRequest &r : reqs) {
             const std::uint64_t id = nextId_++;
-            queue_.push_back(Job{id, std::move(r), now});
+            queued_.emplace(id, Job{id, std::move(r), now});
             pending_.insert(id);
             ++inFlight_;
             ids.push_back(id);
@@ -283,7 +274,10 @@ CompileService::submitBatch(std::vector<CompileRequest> reqs)
         serviceMetrics().jobsInflight->set(
             static_cast<double>(inFlight_));
     }
-    workCv_.notify_all();
+    // One task per job; each runs the oldest queued job, so jobs
+    // start in id order even when submitters race to post.
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        jobPool_->post([this] { runQueued(); });
     return ids;
 }
 
@@ -329,11 +323,7 @@ CompileService::cancel(std::uint64_t id)
         std::lock_guard<std::mutex> lk(mu_);
         if (id == 0 || id >= nextId_)
             return CancelOutcome::Unknown;
-        auto it = std::find_if(
-            queue_.begin(), queue_.end(),
-            [id](const Job &j) { return j.id == id; });
-        if (it != queue_.end()) {
-            queue_.erase(it);
+        if (queued_.erase(id)) {
             pending_.erase(id);
             --inFlight_;
             serviceMetrics().jobsInflight->set(
@@ -352,38 +342,34 @@ CompileService::cancel(std::uint64_t id)
 }
 
 void
-CompileService::workerLoop()
+CompileService::runQueued()
 {
-    for (;;) {
-        Job job;
-        {
-            std::unique_lock<std::mutex> lk(mu_);
-            workCv_.wait(lk, [this] {
-                return stopping_ || !queue_.empty();
-            });
-            if (queue_.empty())
-                return;  // stopping_ and fully drained
-            job = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        JobResult res = runJob(job);
-        // A request with onDone owns result delivery (the daemon's
-        // job registry): hand the result over outside the lock and
-        // skip the results_ store so it is never double-delivered.
-        const bool deliver = static_cast<bool>(job.req.onDone);
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            pending_.erase(job.id);
-            if (!deliver)
-                results_.emplace(job.id, std::move(res));
-            --inFlight_;
-            serviceMetrics().jobsInflight->set(
-                static_cast<double>(inFlight_));
-        }
-        if (deliver)
-            job.req.onDone(std::move(res));
-        doneCv_.notify_all();
+    Job job;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        if (queued_.empty())
+            return;  // cancel() removed this task's job
+        auto it = queued_.begin();
+        job = std::move(it->second);
+        queued_.erase(it);
     }
+    JobResult res = runJob(job);
+    // A request with onDone owns result delivery (the daemon's job
+    // registry): hand the result over outside the lock and skip the
+    // results_ store so it is never double-delivered.
+    const bool deliver = static_cast<bool>(job.req.onDone);
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        pending_.erase(job.id);
+        if (!deliver)
+            results_.emplace(job.id, std::move(res));
+        --inFlight_;
+        serviceMetrics().jobsInflight->set(
+            static_cast<double>(inFlight_));
+    }
+    if (deliver)
+        job.req.onDone(std::move(res));
+    doneCv_.notify_all();
 }
 
 JobResult

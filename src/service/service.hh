@@ -4,7 +4,8 @@
  * eQASM / Quil: the compiler sits in front of the QPU as a service,
  * not a one-shot script).
  *
- * A CompileService owns a fixed pool of worker threads, a job queue,
+ * A CompileService owns a fixed pool of worker threads (a
+ * util::WorkerPool running one posted task per job), a job queue,
  * and the two SU(4)-equivalence memoization caches of cache.hh,
  * shared across all jobs so repeated classes in a batch are
  * synthesized and pulse-solved exactly once. Jobs are submitted as
@@ -33,16 +34,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
-
-#include <functional>
 
 #include "backend/backend.hh"
 #include "backend/reconfigure.hh"
@@ -52,8 +50,8 @@
 #include "isa/schedule.hh"
 #include "service/cache.hh"
 #include "service/error.hh"
-#include "synth/pool.hh"
 #include "uarch/calibration.hh"
+#include "util/pool.hh"
 
 namespace reqisc::service
 {
@@ -79,8 +77,8 @@ struct ServiceOptions
     uarch::Coupling coupling = uarch::Coupling::xy(1.0);
     /**
      * Intra-job block-resynthesis workers for hier-synth: 1 solves
-     * blocks serially (no pool), N > 1 creates one synth::BlockPool
-     * with N-1 helper threads shared across all jobs (the submitting
+     * blocks serially (no pool), N > 1 creates one util::WorkerPool
+     * with N-1 threads shared across all jobs (the submitting
      * worker participates, so the service's total thread count stays
      * `threads + blockWorkers - 1` no matter how many jobs are in
      * flight), 0 sizes the pool to the hardware concurrency left
@@ -199,7 +197,7 @@ class CompileService
 {
   public:
     explicit CompileService(ServiceOptions opts = {});
-    ~CompileService();  //!< drains the queue and joins the workers
+    ~CompileService();  //!< runs every queued job, then saves caches
 
     CompileService(const CompileService &) = delete;
     CompileService &operator=(const CompileService &) = delete;
@@ -241,7 +239,7 @@ class CompileService
      */
     CancelOutcome cancel(std::uint64_t id);
 
-    int threads() const { return threads_; }
+    int threads() const { return jobPool_->threads(); }
     /** Effective block-resynthesis workers (>= 1). */
     int blockWorkers() const;
 
@@ -286,30 +284,34 @@ class CompileService
         std::chrono::steady_clock::time_point enqueuedAt;
     };
 
-    void workerLoop();
+    /**
+     * The task posted per job: runs the oldest queued job, so jobs
+     * start in id order. Tasks never fall short of queued jobs;
+     * cancel() leaves a task with nothing to run.
+     */
+    void runQueued();
     JobResult runJob(const Job &job);
 
     ServiceOptions opts_;
-    int threads_ = 1;
     /** Gate-set tables, computed once when a backend is present. */
     backend::ReconfigureResult reconfig_;
     std::unique_ptr<SynthCache> synthCache_;   //!< null when disabled
     std::unique_ptr<PulseCache> pulseCache_;   //!< null when disabled
     /** Shared intra-job resynthesis pool; null when blockWorkers=1. */
-    std::unique_ptr<synth::BlockPool> blockPool_;
+    std::unique_ptr<util::WorkerPool> blockPool_;
     bool synthLoaded_ = false;   //!< persisted synth cache loaded
     bool pulseLoaded_ = false;   //!< persisted pulse cache loaded
 
     mutable std::mutex mu_;
-    std::condition_variable workCv_;   //!< queue -> workers
     std::condition_variable doneCv_;   //!< results -> waiters
-    std::deque<Job> queue_;
+    std::map<std::uint64_t, Job> queued_;  //!< submitted, not started
     std::map<std::uint64_t, JobResult> results_;  //!< finished jobs
     std::unordered_set<std::uint64_t> pending_;   //!< queued/running
     std::uint64_t nextId_ = 1;
     std::uint64_t inFlight_ = 0;       //!< queued or running jobs
-    bool stopping_ = false;
-    std::vector<std::thread> workers_;
+    /** The job workers; reset first in the destructor, since their
+     *  tasks touch every member above. */
+    std::unique_ptr<util::WorkerPool> jobPool_;
 };
 
 } // namespace reqisc::service

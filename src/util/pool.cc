@@ -1,26 +1,28 @@
-#include "synth/pool.hh"
+#include "util/pool.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/log.hh"
 #include "obs/metrics.hh"
 
-namespace reqisc::synth
+namespace reqisc::util
 {
 
 namespace
 {
 
 /**
- * Lazily registered pool metrics. Several pools (rare outside tests)
- * share these: gauges are last-writer-wins, counters/histograms
- * accumulate across pools — both acceptable for a process that in
- * practice runs one shared pool beside the service.
+ * Block-task metrics, registered by the first run() batch. Several
+ * pools (rare outside tests) share these: gauges are
+ * last-writer-wins, counters/histograms accumulate across pools —
+ * both acceptable for a process that in practice runs one shared
+ * block pool beside the service. The service sets
+ * reqisc_blockpool_workers, since it sizes that pool.
  */
 struct PoolMetrics
 {
     obs::Gauge *queueDepth;
-    obs::Gauge *workers;
     obs::Gauge *utilization;
     obs::Counter *tasks;
     obs::Histogram *taskSeconds;
@@ -34,9 +36,6 @@ PoolMetrics &poolMetrics()
             r.gauge("reqisc_blockpool_queue_depth",
                     "Block-synthesis tasks waiting in the shared "
                     "pool queue"),
-            r.gauge("reqisc_blockpool_workers",
-                    "Executors a batch can use at once (helper "
-                    "threads + the joining caller)"),
             r.gauge("reqisc_blockpool_utilization",
                     "Busy seconds / (wall seconds x workers) since "
                     "pool construction, in [0, 1]"),
@@ -51,38 +50,58 @@ PoolMetrics &poolMetrics()
 
 } // namespace
 
-BlockPool::BlockPool(int helper_threads)
+WorkerPool::WorkerPool(int threads)
     : started_(std::chrono::steady_clock::now())
 {
-    if (helper_threads < 0)
-        helper_threads = 0;
-    workers_.reserve(static_cast<std::size_t>(helper_threads));
-    for (int i = 0; i < helper_threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
-    poolMetrics().workers->set(workers());
-    obs::log(obs::LogLevel::Info, "blockpool", "pool started",
-             {{"helpers", std::to_string(helperThreads())}});
+    threads = std::max(threads, 0);
+    threads_.reserve(static_cast<std::size_t>(threads));
+    for (int i = 0; i < threads; ++i)
+        threads_.emplace_back([this] { threadLoop(); });
 }
 
-BlockPool::~BlockPool()
+WorkerPool::~WorkerPool()
 {
     {
         std::lock_guard<std::mutex> lock(mu_);
         stopping_ = true;
     }
     cv_.notify_all();
-    for (auto &w : workers_)
-        w.join();
+    for (auto &t : threads_)
+        t.join();
+    while (runOne())  // with no threads, nothing has run the queue
+    {
+    }
 }
 
-void BlockPool::noteQueueDepth() const
+bool WorkerPool::runOne()
+{
+    Item item;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (queue_.empty())
+            return false;
+        item = std::move(queue_.front());
+        queue_.pop_front();
+        if (item.batch)
+            noteQueueDepth();
+    }
+    execute(item);
+    return true;
+}
+
+void WorkerPool::noteQueueDepth() const
 {
     poolMetrics().queueDepth->set(
         static_cast<double>(queue_.size()));
 }
 
-void BlockPool::execute(Item &item)
+void WorkerPool::execute(Item &item)
 {
+    if (!item.batch)
+    {
+        item.fn();  // post(): no batch, no context, no telemetry
+        return;
+    }
     obs::JobScope jobScope(item.job);
     obs::Span span("block-task", item.parent);
     try
@@ -120,32 +139,37 @@ void BlockPool::execute(Item &item)
         item.batch->cv.notify_all();
 }
 
-void BlockPool::workerLoop()
+void WorkerPool::threadLoop()
 {
     for (;;)
     {
-        Item item;
         {
             std::unique_lock<std::mutex> lock(mu_);
             cv_.wait(lock,
                      [this] { return stopping_ || !queue_.empty(); });
             if (queue_.empty())
                 return; // stopping_ and drained
-            item = std::move(queue_.front());
-            queue_.pop_front();
-            noteQueueDepth();
         }
-        execute(item);
+        runOne();  // false if a run() caller took the task first
     }
 }
 
-void BlockPool::run(std::vector<std::function<void()>> tasks)
+void WorkerPool::post(std::function<void()> fn)
+{
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        queue_.push_back(Item{std::move(fn), nullptr, {}, {}});
+    }
+    cv_.notify_one();
+}
+
+void WorkerPool::run(std::vector<std::function<void()>> tasks)
 {
     if (tasks.empty())
         return;
     auto batch = std::make_shared<Batch>();
     batch->remaining = tasks.size();
-    // Tasks may execute on helper threads whose span stacks know
+    // Tasks may execute on pool threads whose span stacks know
     // nothing about this job; carry the caller's innermost span and
     // job name so block-task events still parent and attribute onto
     // it.
@@ -162,19 +186,9 @@ void BlockPool::run(std::vector<std::function<void()>> tasks)
     // Caller participation: drain the queue (our batch's tasks and,
     // possibly, other batches' — executing those only helps them)
     // until it is empty, then wait for any of our tasks still being
-    // executed by helper threads.
-    for (;;)
+    // executed by pool threads.
+    while (runOne())
     {
-        Item item;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (queue_.empty())
-                break;
-            item = std::move(queue_.front());
-            queue_.pop_front();
-            noteQueueDepth();
-        }
-        execute(item);
     }
     std::unique_lock<std::mutex> lock(batch->mu);
     batch->cv.wait(lock, [&] { return batch->remaining == 0; });
@@ -182,4 +196,4 @@ void BlockPool::run(std::vector<std::function<void()>> tasks)
         std::rethrow_exception(batch->error);
 }
 
-} // namespace reqisc::synth
+} // namespace reqisc::util

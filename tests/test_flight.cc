@@ -3,7 +3,7 @@
  * Tests for the structured logger and the always-on flight recorder:
  * severity filtering, rate limiting and the JSON-lines format; job
  * propagation into log records, spans and flight events (including
- * across BlockPool helper threads); ring wraparound eviction order;
+ * across block-pool threads); ring wraparound eviction order;
  * multi-thread snapshot consistency (no torn events); ring reuse
  * under thread churn; one tid per thread across trace, log and
  * flight dump; the job-failure dump of CompileService; and the
@@ -24,7 +24,7 @@
 #include "backend/json.hh"
 #include "obs/obs.hh"
 #include "service/service.hh"
-#include "synth/pool.hh"
+#include "util/pool.hh"
 
 using namespace reqisc;
 
@@ -184,7 +184,7 @@ TEST(JobScope, NestsAndRestores)
 
 TEST(JobScope, PropagatesAcrossBlockPoolThreads)
 {
-    synth::BlockPool pool(2);
+    util::WorkerPool pool(2);
     std::vector<std::string> seen(8);
     {
         obs::JobScope job("pool-job");

@@ -729,7 +729,7 @@ TEST(PassTrace, WrapperTraceMatchesJobArtifactDeltas)
 TEST(ParallelHierSynth, BitIdenticalAtEveryWorkerCountOnEveryExample)
 {
     // hier-synth fans its independent block solves out over a
-    // synth::BlockPool when CompileOptions::synthPool is set; the
+    // util::WorkerPool when CompileOptions::synthPool is set; the
     // compiled artifacts must be bit-identical to the serial path at
     // every worker count, with and without a shared memo.
     // dagCompacting=false runs the same fan-out through hier-synth:nc.
@@ -744,7 +744,7 @@ TEST(ParallelHierSynth, BitIdenticalAtEveryWorkerCountOnEveryExample)
                 rel + (compacting ? "" : " (nc)");
 
             for (int workers : {2, 4}) {
-                synth::BlockPool pool(workers - 1);
+                util::WorkerPool pool(workers - 1);
                 CompileOptions par = opts;
                 par.synthPool = &pool;
                 expectSameCompile(
@@ -754,7 +754,7 @@ TEST(ParallelHierSynth, BitIdenticalAtEveryWorkerCountOnEveryExample)
 
             // Pool + shared cache together (the service configuration):
             // two runs (cold then warm) both match the serial oracle.
-            synth::BlockPool pool(3);
+            util::WorkerPool pool(3);
             service::SynthCache cache;
             CompileOptions par = opts;
             par.synthPool = &pool;
@@ -770,7 +770,7 @@ TEST(ParallelHierSynth, BitIdenticalAtEveryWorkerCountOnEveryExample)
 TEST(ParallelHierSynth, TraceNoteReportsWorkerCount)
 {
     const Circuit input = loadExample(kExampleQasm[1]);  // qft4
-    synth::BlockPool pool(3);
+    util::WorkerPool pool(3);
     for (const bool compacting : {true, false}) {
         CompileOptions opts;
         opts.synthPool = &pool;

@@ -3,17 +3,21 @@
  * Tests for the concurrent compilation service and the SU(4)
  * memoization caches: cache correctness (hit/miss/eviction semantics,
  * tolerance-bucketed lookup, verification-gated hits), service
- * determinism across thread counts (the bit-identical contract), and
- * per-job error capture.
+ * determinism across thread counts (the bit-identical contract),
+ * per-job error capture, cancellation, and the util::WorkerPool the
+ * service runs its jobs and block tasks on.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <future>
 #include <limits>
 #include <map>
 #include <random>
+#include <stdexcept>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,6 +27,7 @@
 #include "circuit/lower.hh"
 #include "circuit/qasm.hh"
 #include "compiler/pipeline.hh"
+#include "obs/span.hh"
 #include "qsim/statevector.hh"
 #include "service/cache.hh"
 #include "service/cli_flags.hh"
@@ -30,6 +35,7 @@
 #include "synth/instantiate.hh"
 #include "suite/suite.hh"
 #include "test_util.hh"
+#include "util/pool.hh"
 
 using namespace reqisc;
 using namespace reqisc::circuit;
@@ -709,7 +715,7 @@ exactMatrix(const Matrix &a, const Matrix &b)
 TEST(SynthCache, ConcurrentLookupStoreStressIsRaceFree)
 {
     // Run under TSan in CI: several threads hammer lookup/store on a
-    // shared cache — the access pattern of synth::BlockPool workers
+    // shared cache — the access pattern of block-pool threads
     // inside one job — both on a single-shard cache under eviction
     // pressure and on a striped one, then a PulseCache under eviction
     // pressure. Synth entries are hand-crafted (one opaque U4 whose
@@ -818,7 +824,7 @@ TEST(CompileService, BlockWorkersProduceBitIdenticalArtifacts)
 {
     // The tentpole's determinism contract at the service level: the
     // same batch compiled with serial block resynthesis and with a
-    // shared 4-worker BlockPool yields identical artifacts.
+    // shared 4-worker block pool yields identical artifacts.
     std::vector<std::string> flat1, flat4;
     for (int bw : {1, 4}) {
         service::ServiceOptions sopts;
@@ -854,4 +860,149 @@ TEST(CompileService, AutoBlockWorkersResolveToAtLeastOne)
     req.input = suite::smallSuite()[2].circuit;
     service::JobResult r = svc.wait(svc.submit(std::move(req)));
     EXPECT_TRUE(r.ok) << r.error;
+}
+
+TEST(CompileService, CancelSkipsAQueuedJobAndKeepsFifoOrder)
+{
+    // One worker held inside job A's first pass: B and C queue up
+    // behind it, B is canceled there, and only A and C ever run.
+    service::ServiceOptions sopts;
+    sopts.threads = 1;
+    service::CompileService svc(sopts);
+    const Circuit input = suite::smallSuite()[0].circuit;
+
+    std::promise<void> entered, release;
+    const std::shared_future<void> released =
+        release.get_future().share();
+    std::atomic<bool> held{false};
+    service::CompileRequest a;
+    a.name = "A";
+    a.input = input;
+    a.onPass = [&](const compiler::PassTrace &) {
+        if (!held.exchange(true)) {
+            entered.set_value();
+            released.wait();
+        }
+    };
+    const std::uint64_t idA = svc.submit(std::move(a));
+    entered.get_future().wait();
+
+    std::atomic<int> bDone{0};
+    service::CompileRequest b;
+    b.name = "B";
+    b.input = input;
+    b.onDone = [&bDone](service::JobResult) { ++bDone; };
+    const std::uint64_t idB = svc.submit(std::move(b));
+    service::CompileRequest c;
+    c.name = "C";
+    c.input = input;
+    const std::uint64_t idC = svc.submit(std::move(c));
+
+    EXPECT_EQ(svc.cancel(idB),
+              service::CompileService::CancelOutcome::Canceled);
+    release.set_value();
+
+    const std::vector<service::JobResult> results = svc.waitAll();
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].id, idA);
+    EXPECT_EQ(results[1].id, idC);
+    EXPECT_TRUE(results[0].ok) << results[0].error;
+    EXPECT_TRUE(results[1].ok) << results[1].error;
+    EXPECT_EQ(bDone.load(), 0);
+    EXPECT_THROW(svc.wait(idB), std::invalid_argument);
+    EXPECT_EQ(svc.cancel(idA),
+              service::CompileService::CancelOutcome::Finished);
+}
+
+// ---- util::WorkerPool --------------------------------------------------
+
+TEST(WorkerPool, PostOnOneThreadRunsTasksInFifoOrder)
+{
+    std::vector<int> order;
+    {
+        util::WorkerPool pool(1);
+        EXPECT_EQ(pool.threads(), 1);
+        for (int i = 0; i < 64; ++i)
+            pool.post([&order, i] { order.push_back(i); });
+    }
+    ASSERT_EQ(order.size(), 64u);
+    for (int i = 0; i < 64; ++i)
+        EXPECT_EQ(order[i], i);
+}
+
+TEST(WorkerPool, PostedTasksCarryNoJobScope)
+{
+    std::string seen = "unset";
+    {
+        util::WorkerPool pool(1);
+        obs::JobScope job("poster");
+        pool.post([&seen] { seen = obs::currentJobName(); });
+    }
+    EXPECT_EQ(seen, "");
+}
+
+TEST(WorkerPool, DestructorRunsEveryQueuedTaskBeforeJoining)
+{
+    // The only thread is parked on a gate while the counting tasks
+    // queue up behind it; the gate opens just before destruction.
+    std::promise<void> gate;
+    const std::shared_future<void> open = gate.get_future().share();
+    std::atomic<int> ran{0};
+    {
+        util::WorkerPool pool(1);
+        pool.post([open] { open.wait(); });
+        for (int i = 0; i < 32; ++i)
+            pool.post([&ran] { ++ran; });
+        gate.set_value();
+    }
+    EXPECT_EQ(ran.load(), 32);
+
+    // Without threads every posted task is certainly still queued
+    // when the destructor starts.
+    ran = 0;
+    {
+        util::WorkerPool pool(0);
+        for (int i = 0; i < 32; ++i)
+            pool.post([&ran] { ++ran; });
+        EXPECT_EQ(ran.load(), 0);
+    }
+    EXPECT_EQ(ran.load(), 32);
+}
+
+TEST(WorkerPool, RunWithoutThreadsExecutesOnTheCaller)
+{
+    util::WorkerPool pool(0);
+    EXPECT_EQ(pool.threads(), 0);
+    EXPECT_EQ(pool.workers(), 1);
+    std::vector<std::thread::id> ranOn(6);
+    std::vector<std::function<void()>> tasks;
+    for (std::size_t i = 0; i < ranOn.size(); ++i)
+        tasks.push_back(
+            [&ranOn, i] { ranOn[i] = std::this_thread::get_id(); });
+    pool.run(std::move(tasks));
+    for (const std::thread::id &id : ranOn)
+        EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(WorkerPool, RunRethrowsOnlyAfterTheWholeBatchFinished)
+{
+    // Task 0 is first in the queue and throws; every other task waits
+    // for that throw before it finishes, so a rethrow that did not
+    // wait for the batch would see fewer than all of them done.
+    util::WorkerPool pool(2);
+    std::atomic<bool> thrown{false};
+    std::atomic<int> finished{0};
+    std::vector<std::function<void()>> tasks;
+    tasks.push_back([&thrown] {
+        thrown = true;
+        throw std::runtime_error("task 0 failed");
+    });
+    for (int i = 1; i < 8; ++i)
+        tasks.push_back([&thrown, &finished] {
+            while (!thrown.load())
+                std::this_thread::yield();
+            ++finished;
+        });
+    EXPECT_THROW(pool.run(std::move(tasks)), std::runtime_error);
+    EXPECT_EQ(finished.load(), 7);
 }
